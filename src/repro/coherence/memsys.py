@@ -526,29 +526,13 @@ class MemorySystem:
                     return AccessResult(OVERFLOW, p.l1.hit_latency)
 
         # -- Miss path: to the home directory ----------------------------
-        # Fused round-trip pricing: with stateless pricing and no chaos
-        # hook armed, every message on this directory transaction is a
-        # pure (class, hops) table lookup and the NoC counters are
-        # order-insensitive sums — so all legs are priced inline from
-        # the PR 5 latency tables and the counters flushed once per
-        # access.  Chaos or link-contention modeling falls back to the
-        # legacy per-message calls, preserving RNG draw order and link
-        # reservation order exactly.  Modeled latencies, message counts
-        # and orderings are identical either way.
+        # Every leg is priced by the NetworkModel, which owns the
+        # stateless (class, hops) tables, the chaos hook and link
+        # contention, and counts each message.
         net = self.network
         home = line % self._n_tiles
         my_tile = self._tile_of[core]
-        fused = net.chaos is None and net._stateless
-        if fused:
-            n_tiles = self._n_tiles
-            hops_tbl = net._hops_table
-            hops_rh = hops_tbl[my_tile * n_tiles + home]
-            req_lat = p.l1.hit_latency + net._ctrl_by_hops[hops_rh]
-            f_msgs = 1
-            f_flits = net._ctrl_tail + 1
-            f_hops = hops_rh
-        else:
-            req_lat = p.l1.hit_latency + net.control_latency(my_tile, home)
+        req_lat = p.l1.hit_latency + net.control_latency(my_tile, home)
         entry = self.directory.entry(line)
         arrive = now + req_lat
         start = arrive if arrive > entry.busy_until else entry.busy_until
@@ -564,13 +548,7 @@ class MemorySystem:
             and self.chaos.storm_reject()
         ):
             entry.busy_until = start + p.llc.hit_latency
-            if fused:
-                back = net._ctrl_by_hops[hops_rh]
-                net.messages_sent += f_msgs + 1
-                net.flits_sent += f_flits + net._ctrl_tail + 1
-                net.hops_traversed += f_hops + hops_rh
-            else:
-                back = net.control_latency(home, my_tile)
+            back = net.control_latency(home, my_tile)
             stats.rejects_received += 1
             phantom = (core + 1) % len(self.core_stats)
             self.core_stats[phantom].rejects_issued += 1
@@ -611,13 +589,7 @@ class MemorySystem:
 
             if not resolution.granted:
                 entry.busy_until = start + p.llc.hit_latency
-                if fused:
-                    back = net._ctrl_by_hops[hops_rh]
-                    net.messages_sent += f_msgs + 1
-                    net.flits_sent += f_flits + net._ctrl_tail + 1
-                    net.hops_traversed += f_hops + hops_rh
-                else:
-                    back = net.control_latency(home, my_tile)
+                back = net.control_latency(home, my_tile)
                 latency = (start - now) + p.llc.hit_latency + back
                 stats.rejects_received += 1
                 self.core_stats[resolution.reject_holder].rejects_issued += 1
@@ -643,37 +615,16 @@ class MemorySystem:
             if owner_before in victim_cores:
                 # Fig. 3 NACK path: the aborting owner invalidated
                 # itself; the directory sources the data.
-                if fused:
-                    hops_ho = hops_tbl[home * n_tiles + owner_tile]
-                    data_lat += (
-                        2 * net._ctrl_by_hops[hops_ho]
-                        + net._data_by_hops[hops_rh]
-                    )
-                    f_msgs += 3
-                    f_flits += 2 * (net._ctrl_tail + 1) + net._data_tail + 1
-                    f_hops += 2 * hops_ho + hops_rh
-                else:
-                    data_lat += (
-                        net.control_latency(home, owner_tile)
-                        + net.control_latency(owner_tile, home)
-                        + net.data_latency(home, my_tile)
-                    )
+                data_lat += (
+                    net.control_latency(home, owner_tile)
+                    + net.control_latency(owner_tile, home)
+                    + net.data_latency(home, my_tile)
+                )
             else:
                 # Normal cache-to-cache forward.
-                if fused:
-                    hops_ho = hops_tbl[home * n_tiles + owner_tile]
-                    hops_om = hops_tbl[owner_tile * n_tiles + my_tile]
-                    data_lat += (
-                        net._ctrl_by_hops[hops_ho]
-                        + net._data_by_hops[hops_om]
-                    )
-                    f_msgs += 2
-                    f_flits += net._ctrl_tail + net._data_tail + 2
-                    f_hops += hops_ho + hops_om
-                else:
-                    data_lat += net.control_latency(
-                        home, owner_tile
-                    ) + net.data_latency(owner_tile, my_tile)
+                data_lat += net.control_latency(
+                    home, owner_tile
+                ) + net.data_latency(owner_tile, my_tile)
                 if is_write:
                     self._purge_private(owner_before, line)
                     self.directory.remove_copy(line, owner_before)
@@ -681,13 +632,7 @@ class MemorySystem:
                     self._demote_private(owner_before, line)
                     self.directory.demote_owner_to_sharer(line)
         else:
-            if fused:
-                data_lat += net._data_by_hops[hops_rh]
-                f_msgs += 1
-                f_flits += net._data_tail + 1
-                f_hops += hops_rh
-            else:
-                data_lat += net.data_latency(home, my_tile)
+            data_lat += net.data_latency(home, my_tile)
 
         if is_write:
             # Inline directory.copies()/remove_copy() on the held entry
@@ -764,10 +709,6 @@ class MemorySystem:
         if tx.mode in _TRACK_MODES and not tx.aborted:
             self._track(core, line, is_write, tx)
 
-        if fused:
-            net.messages_sent += f_msgs
-            net.flits_sent += f_flits
-            net.hops_traversed += f_hops
         latency = (start - now) + data_lat
         if self.paranoid:
             self.directory.check_swmr(
@@ -844,8 +785,6 @@ class MemorySystem:
         """
         mem = registry.scope("mem")
         mem.set("memory_words", len(self.memory))
-        # len(array) is O(1) on both backends; resident_lines() would
-        # materialize a list per array on the packed one.
         mem.set("llc_lines", len(self.llc))
         for i, l1 in enumerate(self.l1s):
             mem.set(f"l1.{i}.lines", len(l1))

@@ -105,6 +105,7 @@ class ReproService:
         self._inflight: Dict[str, _InFlight] = {}
         self._executing = 0
         self._submit_seq = 0
+        #: Worker processes; forked in start(), before any socket exists.
         self._pool: Optional[ProcessPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._wake: Optional[asyncio.Event] = None
@@ -119,9 +120,21 @@ class ReproService:
         return os.path.join(self.config.state_dir, "server.json")
 
     async def start(self) -> None:
-        """Bind, resume journaled jobs, and start the scheduler."""
+        """Fork the workers, bind, resume journaled jobs, and start the
+        scheduler.
+
+        The pool is created and warmed before anything is bound: a
+        worker forked later would inherit the listening socket and every
+        open connection, and a streaming client would never see EOF.
+        """
         self._wake = asyncio.Event()
         self._stopped = asyncio.Event()
+        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        loop = asyncio.get_running_loop()
+        await asyncio.gather(*(
+            loop.run_in_executor(self._pool, os.getpid)
+            for _ in range(self.workers)
+        ))
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port
         )
@@ -300,8 +313,6 @@ class ReproService:
 
     def _start_cell(self, loop, tenant: str, job: Job,
                     cell: CellSpec) -> None:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         inflight = _InFlight(cell, tenant, job.job_id, cell.index)
         self._inflight[cell.key] = inflight
         self._executing += 1
@@ -467,6 +478,11 @@ class ReproService:
             await self._route(method, path, headers, body, writer)
         except ConnectionError:
             pass
+        except ConfigError as exc:  # malformed request
+            try:
+                _write_response(writer, 400, {"error": str(exc)})
+            except ConnectionError:
+                pass
         except Exception as exc:  # noqa: BLE001 - one bad conn, not us
             try:
                 _write_response(writer, 500, {
@@ -496,7 +512,10 @@ class ReproService:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ConfigError(f"bad Content-Length {raw_length!r}")
+        length = int(raw_length)
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 

