@@ -28,9 +28,11 @@ figures aggregate.
 ``metrics`` and ``timeline`` re-run one cell under ``repro.telemetry``:
 ``metrics`` prints the hierarchical registry snapshot, ``timeline``
 emits Chrome trace-event JSON on stdout (open it in Perfetto or
-``chrome://tracing``).  Both accept friendly system names
-(``lockiller`` → ``LockillerTM``) and ``--cores`` as an alias for
+``chrome://tracing``).  Both accept ``--cores`` as an alias for
 ``--threads``.
+
+Every system argument (``--system``, ``--systems``) accepts friendly
+names (``lockiller`` → ``LockillerTM``) through ``resolve_system``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import sys
 from typing import List, Optional
 
 from repro.common.params import (
+    SystemParams,
     large_cache_params,
     small_cache_params,
     typical_params,
@@ -57,10 +60,9 @@ from repro.harness.experiments import (
     table1_parameters,
     table2_systems,
 )
+from repro.harness.parallel import CellTask, simulate
 from repro.harness.reporting import format_table
-from repro.harness.systems import get_system, resolve_system
-from repro.sim.runner import RunConfig, run_workload
-from repro.workloads.registry import get_workload
+from repro.harness.systems import resolve_system
 
 CACHE_CONFIGS = {
     "small": small_cache_params,
@@ -219,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workloads", required=True, help="comma-separated workload names"
     )
     sweep_p.add_argument(
-        "--systems", required=True, help="comma-separated Table-II systems"
+        "--systems", required=True,
+        help="comma-separated Table-II names or aliases",
     )
     sweep_p.add_argument("--threads", type=str, default="8")
     sweep_p.add_argument("--seeds", type=str, default="42")
@@ -237,6 +240,27 @@ def _build_parser() -> argparse.ArgumentParser:
         help="root of the persistent run cache (off when omitted)",
     )
     return parser
+
+
+def _cell(
+    args: argparse.Namespace, system: str, params: SystemParams
+) -> CellTask:
+    """The single cell named by ``--workload``/``--threads``/``--scale``/
+    ``--seed`` on ``system`` (a Table-II name or alias)."""
+    return CellTask(
+        0,
+        args.workload,
+        resolve_system(system),
+        args.threads,
+        args.scale,
+        args.seed,
+        params,
+    )
+
+
+def _system_names(arg: str) -> List[str]:
+    """Canonical Table-II names for a comma-separated ``--systems``."""
+    return [resolve_system(s).name for s in arg.split(",") if s]
 
 
 def _make_ctx(args: argparse.Namespace) -> ExperimentContext:
@@ -264,6 +288,7 @@ def _sweep(args: argparse.Namespace) -> str:
         threads=tuple(int(x) for x in args.threads.split(",") if x),
         seeds=tuple(int(x) for x in args.seeds.split(",") if x),
         scale=args.scale,
+        spec_resolver=resolve_system,
     )
     results = sweep.run(jobs=args.jobs, cache=args.cache_dir)
     pivot = results.pivot(lambda r: float(r.cycles))
@@ -283,16 +308,8 @@ def _sweep(args: argparse.Namespace) -> str:
 
 
 def _run_single(args: argparse.Namespace) -> str:
-    stats = run_workload(
-        get_workload(args.workload),
-        RunConfig(
-            spec=get_system(args.system),
-            threads=args.threads,
-            scale=args.scale,
-            seed=args.seed,
-            params=CACHE_CONFIGS[args.cache](),
-        ),
-    )
+    cell = _cell(args, args.system, CACHE_CONFIGS[args.cache]())
+    stats = simulate(cell)
     merged = stats.merged()
     rows = [
         ("execution cycles", stats.execution_cycles),
@@ -338,18 +355,8 @@ def _telemetry_cell(args: argparse.Namespace):
     from repro.telemetry import Telemetry
 
     tel = Telemetry()
-    stats = run_workload(
-        get_workload(args.workload),
-        RunConfig(
-            spec=resolve_system(args.system),
-            threads=args.threads,
-            scale=args.scale,
-            seed=args.seed,
-            params=CACHE_CONFIGS[args.cache](),
-            telemetry=tel,
-        ),
-    )
-    return tel, stats
+    cell = _cell(args, args.system, CACHE_CONFIGS[args.cache]())
+    return tel, simulate(cell, telemetry=tel)
 
 
 def _metrics(args: argparse.Namespace) -> str:
@@ -394,19 +401,10 @@ def _timeline(args: argparse.Namespace) -> str:
 def _chart(args: argparse.Namespace) -> str:
     from repro.harness.charts import breakdown_chart, hbar_chart
 
-    systems = [s for s in args.systems.split(",") if s]
     breakdowns = {}
     cycles = {}
-    for name in systems:
-        stats = run_workload(
-            get_workload(args.workload),
-            RunConfig(
-                spec=get_system(name),
-                threads=args.threads,
-                scale=args.scale,
-                seed=args.seed,
-            ),
-        )
+    for name in _system_names(args.systems):
+        stats = simulate(_cell(args, name, typical_params()))
         breakdowns[name] = {
             c.value: f for c, f in stats.time_fractions().items()
         }
@@ -466,7 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             else None
         )
         systems = (
-            tuple(s for s in args.systems.split(",") if s)
+            tuple(_system_names(args.systems))
             if args.systems
             else DEFAULT_SYSTEMS
         )
@@ -483,7 +481,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ctx = _make_ctx(args)
         printer = FIGURES[args.command]
         if args.command == "fig7" and getattr(args, "systems", None):
-            print(printer(ctx, systems=args.systems.split(",")))
+            print(printer(ctx, systems=_system_names(args.systems)))
         else:
             print(printer(ctx))
     return 0

@@ -36,9 +36,9 @@ from repro.harness.reporting import (
     format_series,
     format_table,
 )
+from repro.harness.parallel import CellTask, run_cells
 from repro.harness.systems import TABLE_ORDER, get_system
-from repro.sim.runner import RunConfig, run_workload
-from repro.workloads.registry import PAPER_ORDER, get_workload
+from repro.workloads.registry import PAPER_ORDER
 
 #: Paper thread sweep; trimmed via REPRO_BENCH_THREADS for quick runs.
 PAPER_THREADS: Tuple[int, ...] = (2, 4, 8, 16, 32)
@@ -55,15 +55,12 @@ def default_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 
 
-def default_jobs() -> int:
-    return int(os.environ.get("REPRO_JOBS", "1") or "1")
-
-
 @dataclass
 class ExperimentContext:
     """Shared run memo + sweep configuration.
 
-    ``jobs`` (default ``$REPRO_JOBS``, else serial) lets the figure
+    ``jobs`` (``None`` = ``$REPRO_JOBS``, else serial; see
+    :func:`repro.harness.parallel.resolve_jobs`) lets the figure
     drivers execute their grids through the multi-process runner —
     every driver pre-warms its full cell grid via :meth:`prewarm`, then
     reads the memo cell by cell.  ``disk_cache`` additionally persists
@@ -77,7 +74,7 @@ class ExperimentContext:
     threads: Tuple[int, ...] = field(default_factory=default_threads)
     workloads: Tuple[str, ...] = tuple(PAPER_ORDER)
     params: SystemParams = field(default_factory=typical_params)
-    jobs: int = field(default_factory=default_jobs)
+    jobs: Optional[int] = None
     #: Persistent run cache (RunCache | path | True | None).
     disk_cache: object = None
     _cache: Dict[tuple, RunStats] = field(default_factory=dict, repr=False)
@@ -100,45 +97,8 @@ class ExperimentContext:
         params: Optional[SystemParams] = None,
         params_tag: str = "typical",
     ) -> RunStats:
-        key = self._key(workload, system, threads, params_tag)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        p = params or self.params
-        if self.disk_cache is not None:
-            hit = self.disk_cache.get_cell(
-                workload,
-                get_system(system),
-                p,
-                threads,
-                self.scale,
-                self.seed,
-            )
-            if hit is not None:
-                self._cache[key] = hit
-                return hit
-        stats = run_workload(
-            get_workload(workload),
-            RunConfig(
-                spec=get_system(system),
-                threads=threads,
-                scale=self.scale,
-                seed=self.seed,
-                params=p,
-            ),
-        )
-        self._cache[key] = stats
-        if self.disk_cache is not None:
-            self.disk_cache.put_cell(
-                workload,
-                get_system(system),
-                p,
-                threads,
-                self.scale,
-                self.seed,
-                stats,
-            )
-        return stats
+        self.prewarm([(workload, system, threads)], params, params_tag)
+        return self._cache[self._key(workload, system, threads, params_tag)]
 
     def prewarm(
         self,
@@ -153,44 +113,22 @@ class ExperimentContext:
         the disk cache, when armed) so subsequent :meth:`run` calls are
         pure lookups.  Returns the number of cells actually executed.
         """
-        from repro.harness.parallel import CellTask, run_cells
-
         p = params or self.params
-        tasks: List[CellTask] = []
-        keys: List[tuple] = []
-        seen = set()
+        tasks: Dict[tuple, CellTask] = {}
         for wl, system, th in cells:
             key = self._key(wl, system, th, params_tag)
-            if key in seen or key in self._cache:
-                continue
-            seen.add(key)
-            spec = get_system(system)
-            if self.disk_cache is not None:
-                hit = self.disk_cache.get_cell(
-                    wl, spec, p, th, self.scale, self.seed
+            if key not in tasks and key not in self._cache:
+                spec = get_system(system)
+                tasks[key] = CellTask(
+                    len(tasks), wl, spec, th, self.scale, self.seed, p
                 )
-                if hit is not None:
-                    self._cache[key] = hit
-                    continue
-            tasks.append(
-                CellTask(len(tasks), wl, spec, th, self.scale, self.seed, p)
-            )
-            keys.append(key)
-        results = run_cells(tasks, jobs=self.jobs)
-        for task, key in zip(tasks, keys):
-            stats = results[task.index]
-            self._cache[key] = stats
-            if self.disk_cache is not None:
-                self.disk_cache.put_cell(
-                    task.workload,
-                    task.spec,
-                    p,
-                    task.threads,
-                    self.scale,
-                    self.seed,
-                    stats,
-                )
-        return len(tasks)
+        rc = self.disk_cache
+        misses = rc.misses if rc is not None else 0
+        results = run_cells(list(tasks.values()), jobs=self.jobs, cache=rc)
+        for key, task in tasks.items():
+            self._cache[key] = results[task.index]
+        # Every task is looked up once, so each miss is an executed cell.
+        return len(tasks) if rc is None else rc.misses - misses
 
     def speedup_vs_cgl(
         self,

@@ -16,8 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.params import SystemParams, typical_params
 from repro.common.stats import RunStats
-from repro.harness.parallel import CellTask, run_cells
-from repro.harness.runcache import coerce_cache
+from repro.harness.parallel import CellTask, run_cells, trace_cell
 from repro.harness.systems import get_system
 
 #: z for a ~95% two-sided normal interval.
@@ -77,41 +76,6 @@ def _seed_tasks(
     ]
 
 
-def _run_tasks(tasks: List[CellTask], jobs, cache) -> List[RunStats]:
-    """Cache-aware task execution preserving task-index order."""
-    rc = coerce_cache(cache)
-    size = max((t.index for t in tasks), default=-1) + 1
-    out: List[Optional[RunStats]] = [None] * size
-    missing: List[CellTask] = []
-    for t in tasks:
-        hit = (
-            rc.get_cell(t.workload, t.spec, t.params, t.threads, t.scale, t.seed)
-            if rc is not None
-            else None
-        )
-        if hit is not None:
-            out[t.index] = hit
-        else:
-            missing.append(t)
-
-    def on_done(task: CellTask, stats: RunStats) -> None:
-        if rc is not None:
-            rc.put_cell(
-                task.workload,
-                task.spec,
-                task.params,
-                task.threads,
-                task.scale,
-                task.seed,
-                stats,
-            )
-
-    executed = run_cells(missing, jobs=jobs, on_done=on_done)
-    for t in missing:
-        out[t.index] = executed[t.index]
-    return out
-
-
 def multi_seed_runs(
     workload: str,
     system: str,
@@ -129,7 +93,7 @@ def multi_seed_runs(
     tasks = _seed_tasks(
         workload, system, threads, seeds, scale, params or typical_params()
     )
-    return _run_tasks(tasks, jobs, cache)
+    return run_cells(tasks, jobs=jobs, cache=cache)
 
 
 def trace_seed(
@@ -151,37 +115,12 @@ def trace_seed(
     entry if the campaign didn't cache).  Returns artifact paths keyed
     ``result`` / ``metrics`` / ``trace``.
     """
-    from repro.harness.runcache import cell_key, coerce_cache
-    from repro.sim.runner import RunConfig, run_workload
-    from repro.telemetry import Telemetry
-    from repro.telemetry.sinks import artifact_path
-    from repro.workloads.registry import get_workload
-
-    rc = coerce_cache(cache if cache is not None else True)
-    p = params or typical_params()
-    spec = get_system(system)
-    tel = telemetry if telemetry is not None else Telemetry()
-    stats = run_workload(
-        get_workload(workload),
-        RunConfig(
-            spec,
-            threads=threads,
-            scale=scale,
-            seed=seed,
-            params=p,
-            telemetry=tel,
-        ),
+    (task,) = _seed_tasks(
+        workload, system, threads, (seed,), scale, params or typical_params()
     )
-    key = cell_key(workload, spec, p, threads, scale, seed)
-    rc.put_cell(workload, spec, p, threads, scale, seed, stats)
-    out = {"result": rc.path_for(key)}
-    label = f"{workload}/{system}/t{threads}/s{seed}"
-    out["metrics"] = tel.write_metrics(artifact_path(rc, key, "metrics"))
-    if tel.timeline is not None:
-        out["trace"] = tel.write_trace(
-            artifact_path(rc, key, "trace"), run_label=label
-        )
-    return out
+    return trace_cell(
+        task, cache, telemetry, f"{workload}/{system}/t{threads}/s{seed}"
+    )
 
 
 def multi_seed_runs_resilient(
@@ -256,7 +195,7 @@ def paired_speedup(
     sys_tasks = _seed_tasks(
         workload, system, threads, seeds, scale, p, base_index=len(base_tasks)
     )
-    runs = _run_tasks(base_tasks + sys_tasks, jobs, cache)
+    runs = run_cells(base_tasks + sys_tasks, jobs=jobs, cache=cache)
     base_runs, sys_runs = runs[: len(seeds)], runs[len(seeds):]
     ratios = [
         b.execution_cycles / s.execution_cycles

@@ -17,6 +17,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.common.params import SystemParams, typical_params
 from repro.common.stats import RunStats
 from repro.core.policies import SystemSpec
+from repro.harness.parallel import CellTask, run_cells, trace_cell
 from repro.harness.systems import get_system
 
 
@@ -86,6 +87,18 @@ class Sweep:
             * len(self.params_by_tag)
         )
 
+    def _task(self, index: int, point: SweepPoint) -> CellTask:
+        """The resolved, picklable cell behind ``point``."""
+        return CellTask(
+            index,
+            point.workload,
+            self.spec_resolver(point.system),
+            point.threads,
+            self.scale,
+            point.seed,
+            self.params_by_tag[point.params_tag],
+        )
+
     def run(
         self,
         progress: Optional[Callable[[SweepPoint, int, int], None]] = None,
@@ -101,70 +114,25 @@ class Sweep:
         (``True``, a directory path, or a
         :class:`~repro.harness.runcache.RunCache`) consults and fills
         the persistent run cache so repeated or resumed sweeps skip
-        completed cells.  ``progress`` fires once per completed cell
-        with a monotonically increasing count (completion order under
-        ``jobs > 1``).
+        completed cells.  ``progress`` fires once per cell, cache hits
+        included, with a monotonically increasing count (completion
+        order under ``jobs > 1``).
         """
-        from repro.harness.parallel import CellTask, run_cells
-        from repro.harness.runcache import coerce_cache
-
-        rc = coerce_cache(cache)
         points = list(self.points())
         total = len(points)
-        stats_list: List[Optional[RunStats]] = [None] * total
-        tasks: List[CellTask] = []
-        done_count = 0
-        for i, point in enumerate(points):
-            spec = self.spec_resolver(point.system)
-            params = self.params_by_tag[point.params_tag]
-            if rc is not None:
-                hit = rc.get_cell(
-                    point.workload,
-                    spec,
-                    params,
-                    point.threads,
-                    self.scale,
-                    point.seed,
-                )
-                if hit is not None:
-                    stats_list[i] = hit
-                    done_count += 1
-                    if progress is not None:
-                        progress(point, done_count, total)
-                    continue
-            tasks.append(
-                CellTask(
-                    i,
-                    point.workload,
-                    spec,
-                    point.threads,
-                    self.scale,
-                    point.seed,
-                    params,
-                )
-            )
+        count = itertools.count(1)
 
-        def on_done(task: CellTask, stats: RunStats) -> None:
-            nonlocal done_count
-            if rc is not None:
-                rc.put_cell(
-                    task.workload,
-                    task.spec,
-                    task.params,
-                    task.threads,
-                    task.scale,
-                    task.seed,
-                    stats,
-                )
-            done_count += 1
-            if progress is not None:
-                progress(points[task.index], done_count, total)
+        def on_done(task: CellTask, _stats: RunStats) -> None:
+            progress(points[task.index], next(count), total)
 
-        executed = run_cells(tasks, jobs=jobs, on_done=on_done)
-        for task in tasks:
-            stats_list[task.index] = executed[task.index]
+        stats = run_cells(
+            [self._task(i, p) for i, p in enumerate(points)],
+            jobs=jobs,
+            on_done=on_done if progress is not None else None,
+            cache=cache,
+        )
         return SweepResults(
-            [SweepRecord(p, s) for p, s in zip(points, stats_list)]
+            [SweepRecord(p, s) for p, s in zip(points, stats)]
         )
 
     def rerun_with_telemetry(
@@ -178,23 +146,12 @@ class Sweep:
         its runcache entry.
 
         ``criteria`` select exactly one :class:`SweepPoint` (same
-        vocabulary as :meth:`SweepResults.filter`).  The cell is re-run
-        with an attached :class:`~repro.telemetry.Telemetry` session —
-        runs are pure functions of the cell key, so the re-run
-        reproduces the cached result bit-for-bit while capturing the
-        *why* — and ``<key>.metrics.json`` / ``<key>.trace.json`` are
-        written atomically next to ``<key>.json`` in the cache shard.
-        Returns ``{"metrics": path, "trace": path, "result": path}``.
+        vocabulary as :meth:`SweepResults.filter`); the cell then goes
+        through :func:`repro.harness.parallel.trace_cell`, which writes
+        ``<key>.metrics.json`` / ``<key>.trace.json`` next to
+        ``<key>.json`` in the cache shard.  Returns
+        ``{"metrics": path, "trace": path, "result": path}``.
         """
-        from repro.harness.runcache import cell_key, coerce_cache
-        from repro.sim.runner import RunConfig, run_workload
-        from repro.telemetry import Telemetry
-        from repro.telemetry.sinks import artifact_path
-        from repro.workloads.registry import get_workload
-
-        rc = coerce_cache(cache if cache is not None else True)
-        if rc is None:
-            raise ValueError("rerun_with_telemetry needs a run cache")
         _check_point_fields(*criteria)
         matches = [
             p
@@ -206,36 +163,9 @@ class Sweep:
                 f"{len(matches)} sweep points match {criteria!r}; expected 1"
             )
         point = matches[0]
-        spec = self.spec_resolver(point.system)
-        params = self.params_by_tag[point.params_tag]
-        tel = telemetry if telemetry is not None else Telemetry()
-        stats = run_workload(
-            get_workload(point.workload),
-            RunConfig(
-                spec,
-                threads=point.threads,
-                scale=self.scale,
-                seed=point.seed,
-                params=params,
-                telemetry=tel,
-            ),
+        return trace_cell(
+            self._task(0, point), cache, telemetry, run_label or point.label()
         )
-        key = cell_key(
-            point.workload, spec, params, point.threads, self.scale, point.seed
-        )
-        rc.put(key, stats, meta={"workload": point.workload,
-                                 "system": point.system,
-                                 "threads": point.threads,
-                                 "scale": self.scale,
-                                 "seed": point.seed})
-        label = run_label or point.label()
-        out = {"result": rc.path_for(key)}
-        out["metrics"] = tel.write_metrics(artifact_path(rc, key, "metrics"))
-        if tel.timeline is not None:
-            out["trace"] = tel.write_trace(
-                artifact_path(rc, key, "trace"), run_label=label
-            )
-        return out
 
     def run_resilient(
         self,

@@ -17,17 +17,19 @@ module wraps the harness drivers with
 
 Entry points: :func:`run_sweep_resilient` (also reachable as
 ``Sweep.run_resilient``) and :func:`resilient_seed_runs` (also
-``repro.harness.multiseed.multi_seed_runs_resilient``).
+``repro.harness.multiseed.multi_seed_runs_resilient``).  Both only build
+their cells and hand them to one serial loop, :func:`_run_resilient`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError, RunTimeoutError
 from repro.common.stats import RunStats
@@ -36,6 +38,8 @@ from repro.harness.export import (
     run_stats_from_dict,
     run_stats_to_dict,
 )
+from repro.harness.parallel import CellTask, simulate, store
+from repro.harness.runcache import coerce_cache
 
 
 def call_with_timeout(fn: Callable[[], object], timeout_s: Optional[float]):
@@ -116,7 +120,8 @@ class QuarantineRecord:
 class SweepCheckpoint:
     """Atomic JSON checkpoint of completed campaign cells.
 
-    Completed cells are keyed by their point label and store the full
+    Completed cells are keyed by their run-cache key (plus the fault-plan
+    name under a plan; see :func:`_run_resilient`) and store the full
     serialized :class:`~repro.common.stats.RunStats`; quarantined cells
     are kept for reporting but are *retried* on resume (a transient
     failure deserves a fresh chance).  Writes go through a temp file +
@@ -223,6 +228,71 @@ class ResilientSweepReport:
         return "\n".join(lines)
 
 
+def _run_resilient(
+    cells: Sequence[Tuple[str, Dict[str, object], Callable[[], CellTask]]],
+    checkpoint_path: Optional[str],
+    retry: Optional[RetryPolicy],
+    fault_plan,
+    watchdog,
+    cache,
+    on_cell: Optional[Callable[[int], None]] = None,
+) -> "tuple[List[Optional[RunStats]], ResilientSweepReport]":
+    """The one crash-tolerant cell loop behind both public entry points.
+
+    ``cells`` are ``(label, replay, make_task)`` triples; ``make_task``
+    resolves the cell's spec under the retry policy, so a resolver error
+    quarantines only its own cell.  A cell is served from the checkpoint
+    (keyed by its run-cache key, plus the fault-plan name when a plan is
+    set), then from the run cache (bypassed under a fault plan: a chaos
+    run is not the cell's true result), and otherwise executed under the
+    retry policy; results are journaled as they complete.  Returns the
+    per-cell stats (``None`` for quarantined cells) and a report whose
+    ``results`` the caller fills in.  ``on_cell(i)`` fires after cell
+    ``i`` settles.
+    """
+    retry = retry or RetryPolicy()
+    ckpt = (
+        SweepCheckpoint.load(checkpoint_path) if checkpoint_path else None
+    )
+    rc = coerce_cache(cache) if fault_plan is None else None
+    plan_name = fault_plan.name if fault_plan is not None else None
+    report = ResilientSweepReport(results=None)
+    out: List[Optional[RunStats]] = []
+    for i, (label, replay, make_task) in enumerate(cells):
+        replay = {**replay, "fault_plan": plan_name}
+        stats = None
+        task, record = _attempt_cell(label, replay, make_task, retry)
+        if task is not None:
+            key = task.key() + (f"+{plan_name}" if plan_name else "")
+            journaled = ckpt is not None and ckpt.has(key)
+            if journaled:
+                stats = ckpt.get(key)
+            elif rc is not None:
+                stats = rc.get(task.key())
+            if stats is not None:
+                report.resumed += 1
+            else:
+                run = functools.partial(
+                    simulate, task, fault_plan=fault_plan, watchdog=watchdog
+                )
+                stats, record = _attempt_cell(label, replay, run, retry)
+                if stats is not None and rc is not None:
+                    store(rc, task, stats)
+            if stats is not None and ckpt is not None and not journaled:
+                ckpt.put(key, stats, meta=replay)
+                ckpt.save()
+        if stats is None:
+            report.quarantined.append(record)
+            if ckpt is not None:
+                ckpt.quarantine(record)
+                ckpt.save()
+        out.append(stats)
+        if on_cell is not None:
+            on_cell(i)
+    report.executed = len(out) - report.resumed
+    return out, report
+
+
 def run_sweep_resilient(
     sweep,
     checkpoint_path: Optional[str] = None,
@@ -244,94 +314,35 @@ def run_sweep_resilient(
     shared across campaigns.  Fault-injected cells bypass the cache
     entirely: a chaos run is not the cell's true result.
     """
-    from repro.harness.runcache import coerce_cache
     from repro.harness.sweeps import SweepRecord, SweepResults
-    from repro.sim.runner import RunConfig, run_workload
-    from repro.workloads.registry import get_workload
 
-    retry = retry or RetryPolicy()
-    ckpt = (
-        SweepCheckpoint.load(checkpoint_path) if checkpoint_path else None
+    points = list(sweep.points())
+    cells = [
+        (
+            point.label(),
+            {
+                "workload": point.workload,
+                "system": point.system,
+                "threads": point.threads,
+                "seed": point.seed,
+                "params_tag": point.params_tag,
+                "scale": sweep.scale,
+            },
+            functools.partial(sweep._task, i, point),
+        )
+        for i, point in enumerate(points)
+    ]
+    on_cell = None
+    if progress is not None:
+        def on_cell(i: int) -> None:
+            progress(points[i], i + 1, len(points))
+
+    stats, report = _run_resilient(
+        cells, checkpoint_path, retry, fault_plan, watchdog, cache, on_cell
     )
-    rc = coerce_cache(cache) if fault_plan is None else None
-    records: List[SweepRecord] = []
-    report = ResilientSweepReport(results=None)
-    total = sweep.size()
-    for i, point in enumerate(sweep.points()):
-        label = point.label()
-        if ckpt is not None and ckpt.has(label):
-            records.append(SweepRecord(point, ckpt.get(label)))
-            report.resumed += 1
-            if progress is not None:
-                progress(point, i + 1, total)
-            continue
-        if rc is not None:
-            hit = rc.get_cell(
-                point.workload,
-                sweep.spec_resolver(point.system),
-                sweep.params_by_tag[point.params_tag],
-                point.threads,
-                sweep.scale,
-                point.seed,
-            )
-            if hit is not None:
-                records.append(SweepRecord(point, hit))
-                report.resumed += 1
-                if ckpt is not None:
-                    ckpt.put(label, hit)
-                    ckpt.save()
-                if progress is not None:
-                    progress(point, i + 1, total)
-                continue
-        replay = {
-            "workload": point.workload,
-            "system": point.system,
-            "threads": point.threads,
-            "seed": point.seed,
-            "params_tag": point.params_tag,
-            "scale": sweep.scale,
-            "fault_plan": fault_plan.name if fault_plan is not None else None,
-        }
-
-        def run_cell(p=point) -> RunStats:
-            return run_workload(
-                get_workload(p.workload),
-                RunConfig(
-                    spec=sweep.spec_resolver(p.system),
-                    threads=p.threads,
-                    scale=sweep.scale,
-                    seed=p.seed,
-                    params=sweep.params_by_tag[p.params_tag],
-                    fault_plan=fault_plan,
-                    watchdog=watchdog,
-                ),
-            )
-
-        stats, quarantined = _attempt_cell(label, replay, run_cell, retry)
-        report.executed += 1
-        if stats is not None:
-            records.append(SweepRecord(point, stats))
-            if ckpt is not None:
-                ckpt.put(label, stats, meta=replay)
-                ckpt.save()
-            if rc is not None:
-                rc.put_cell(
-                    point.workload,
-                    sweep.spec_resolver(point.system),
-                    sweep.params_by_tag[point.params_tag],
-                    point.threads,
-                    sweep.scale,
-                    point.seed,
-                    stats,
-                )
-        else:
-            report.quarantined.append(quarantined)
-            if ckpt is not None:
-                ckpt.quarantine(quarantined)
-                ckpt.save()
-        if progress is not None:
-            progress(point, i + 1, total)
-    report.results = SweepResults(records)
+    report.results = SweepResults(
+        [SweepRecord(p, s) for p, s in zip(points, stats) if s is not None]
+    )
     return report
 
 
@@ -356,76 +367,36 @@ def resilient_seed_runs(
     run cache; fault-injected runs bypass it.
     """
     from repro.common.params import typical_params
-    from repro.harness.runcache import coerce_cache
     from repro.harness.systems import get_system
-    from repro.sim.runner import RunConfig, run_workload
-    from repro.workloads.registry import get_workload
 
-    retry = retry or RetryPolicy()
-    ckpt = (
-        SweepCheckpoint.load(checkpoint_path) if checkpoint_path else None
-    )
-    rc = coerce_cache(cache) if fault_plan is None else None
     run_params = params or typical_params()
-    runs: List[RunStats] = []
-    quarantined: List[QuarantineRecord] = []
-    for seed in seeds:
-        label = f"{workload}/{system}/t{threads}/s{seed}"
-        if ckpt is not None and ckpt.has(label):
-            runs.append(ckpt.get(label))
-            continue
-        if rc is not None:
-            hit = rc.get_cell(
-                workload, get_system(system), run_params, threads, scale, seed
-            )
-            if hit is not None:
-                runs.append(hit)
-                if ckpt is not None:
-                    ckpt.put(label, hit)
-                    ckpt.save()
-                continue
-        replay = {
-            "workload": workload,
-            "system": system,
-            "threads": threads,
-            "seed": seed,
-            "scale": scale,
-            "fault_plan": fault_plan.name if fault_plan is not None else None,
-        }
 
-        def run_cell(s=seed) -> RunStats:
-            return run_workload(
-                get_workload(workload),
-                RunConfig(
-                    spec=get_system(system),
-                    threads=threads,
-                    scale=scale,
-                    seed=s,
-                    params=run_params,
-                    fault_plan=fault_plan,
-                    watchdog=watchdog,
-                ),
-            )
+    def make_task(index: int, seed: int) -> CellTask:
+        return CellTask(
+            index,
+            workload,
+            get_system(system),
+            threads,
+            scale,
+            seed,
+            run_params,
+        )
 
-        stats, record = _attempt_cell(label, replay, run_cell, retry)
-        if stats is not None:
-            runs.append(stats)
-            if ckpt is not None:
-                ckpt.put(label, stats, meta=replay)
-                ckpt.save()
-            if rc is not None:
-                rc.put_cell(
-                    workload,
-                    get_system(system),
-                    run_params,
-                    threads,
-                    scale,
-                    seed,
-                    stats,
-                )
-        else:
-            quarantined.append(record)
-            if ckpt is not None:
-                ckpt.quarantine(record)
-                ckpt.save()
-    return runs, quarantined
+    cells = [
+        (
+            f"{workload}/{system}/t{threads}/s{seed}",
+            {
+                "workload": workload,
+                "system": system,
+                "threads": threads,
+                "seed": seed,
+                "scale": scale,
+            },
+            functools.partial(make_task, i, seed),
+        )
+        for i, seed in enumerate(seeds)
+    ]
+    stats, report = _run_resilient(
+        cells, checkpoint_path, retry, fault_plan, watchdog, cache
+    )
+    return [s for s in stats if s is not None], report.quarantined

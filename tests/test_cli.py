@@ -95,3 +95,39 @@ class TestChartCommand:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestSystemAliases:
+    """Every command that takes a system accepts the same friendly
+    names, resolved through ``resolve_system``."""
+
+    CELL = ("--threads", "2", "--scale", "0.05")
+
+    @pytest.mark.parametrize(
+        "argv, expect",
+        [
+            (("run", "--workload", "ssca2", "--system", "lockiller")
+             + CELL, "execution cycles"),
+            (("chart", "--workload", "ssca2", "--systems", "cgl,lockiller")
+             + CELL, "LockillerTM"),
+            (("sweep", "--workloads", "ssca2", "--systems", "cgl,lockiller",
+              "--threads", "2", "--scale", "0.05"), "lockiller"),
+            (("fig7", "--systems", "lockiller", "--threads", "2",
+              "--scale", "0.05"), "LockillerTM"),
+            (("metrics", "--workload", "ssca2", "--system", "lockiller",
+              "--prefix", "htm") + CELL, "ssca2 on lockiller"),
+            (("timeline", "--workload", "ssca2", "--system", "lockiller",
+              "--summary") + CELL, "spans="),
+        ],
+        ids=["run", "chart", "sweep", "fig7", "metrics", "timeline"],
+    )
+    def test_alias_accepted(self, capsys, argv, expect):
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0
+        assert expect in out
+
+    def test_unknown_system_raises(self, capsys):
+        from repro.common.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            run_cli(capsys, "run", "--workload", "ssca2", "--system", "doom")

@@ -16,6 +16,9 @@ because it distinguishes all nine Table-II systems: enough contention
 that every recovery policy takes a different path.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.harness.export import fingerprint
@@ -38,6 +41,15 @@ GOLD = {
     "LockillerTM": (9755, "1877f557f4e76393", 40, 5),
 }
 
+#: (sha256 of GOLD, CACHE_SCHEMA_VERSION).  A golden moves only when the
+#: simulator's timing changes, and then every cached result is stale:
+#: bump CACHE_SCHEMA_VERSION in repro.harness.runcache together with
+#: the goldens, and re-pin both halves here.
+GOLD_VERSION_PIN = (
+    "05f02c4318ad98c025bb81136fca85774909891ca79a376c996452b6ede5efd5",
+    1,
+)
+
 
 def _run(system: str):
     return run_workload(
@@ -59,6 +71,17 @@ class TestGoldenPins:
         assert fingerprint(stats) == fp
         assert merged.commits == commits
         assert merged.total_aborts == aborts
+
+    def test_goldens_pinned_to_cache_version(self):
+        from repro.harness.runcache import CACHE_SCHEMA_VERSION
+
+        digest = hashlib.sha256(
+            json.dumps(GOLD, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        assert (digest, CACHE_SCHEMA_VERSION) == GOLD_VERSION_PIN, (
+            "GOLD changed: bump CACHE_SCHEMA_VERSION so no cache serves "
+            "results from the old model, then re-pin GOLD_VERSION_PIN"
+        )
 
     def test_back_to_back_runs_identical(self):
         a, b = _run("LockillerTM"), _run("LockillerTM")
@@ -106,3 +129,82 @@ class TestParallelBitIdentity:
         assert warm_cache.misses == 0
         assert warm_cache.stores == 0
         assert _prints(warm) == _prints(serial)
+
+
+class TestOneExecutionPath:
+    """Every harness entry point runs a cell the same way and shares one
+    run cache: identical fingerprints, and a warm re-run executes
+    nothing."""
+
+    WORKLOAD, SYSTEMS, THREADS, SEED, SCALE = (
+        "ssca2", ("CGL", "LockillerTM"), 2, 1, 0.05,
+    )
+
+    def _entry_points(self, cache):
+        """Fingerprints per system from each of the five entry points."""
+        from repro.harness.experiments import ExperimentContext
+        from repro.harness.multiseed import (
+            multi_seed_runs,
+            multi_seed_runs_resilient,
+        )
+
+        sweep = Sweep(
+            workloads=(self.WORKLOAD,),
+            systems=self.SYSTEMS,
+            threads=(self.THREADS,),
+            seeds=(self.SEED,),
+            scale=self.SCALE,
+        )
+        out = {"Sweep.run": [
+            fingerprint(r.stats) for r in sweep.run(cache=cache).records
+        ]}
+        report = sweep.run_resilient(cache=cache)
+        assert report.ok
+        out["run_resilient"] = [
+            fingerprint(r.stats) for r in report.results.records
+        ]
+        ctx = ExperimentContext(
+            scale=self.SCALE,
+            seed=self.SEED,
+            threads=(self.THREADS,),
+            workloads=(self.WORKLOAD,),
+            disk_cache=cache,
+        )
+        ctx.prewarm(
+            (self.WORKLOAD, system, self.THREADS) for system in self.SYSTEMS
+        )
+        out["ExperimentContext.prewarm"] = [
+            fingerprint(ctx.run(self.WORKLOAD, system, self.THREADS))
+            for system in self.SYSTEMS
+        ]
+        out["multi_seed_runs"] = []
+        out["multi_seed_runs_resilient"] = []
+        for system in self.SYSTEMS:
+            args = (self.WORKLOAD, system, self.THREADS, (self.SEED,))
+            (stats,) = multi_seed_runs(*args, scale=self.SCALE, cache=cache)
+            out["multi_seed_runs"].append(fingerprint(stats))
+            (stats,), quarantined = multi_seed_runs_resilient(
+                *args, scale=self.SCALE, cache=cache
+            )
+            assert not quarantined
+            out["multi_seed_runs_resilient"].append(fingerprint(stats))
+        return out
+
+    def test_entry_points_agree_and_warm_rerun_executes_nothing(
+        self, tmp_path
+    ):
+        from repro.harness.runcache import RunCache
+
+        root = str(tmp_path / "rc")
+        cold_cache = RunCache(root)
+        cold = self._entry_points(cold_cache)
+        assert cold_cache.stores == len(self.SYSTEMS)
+        expected = cold["Sweep.run"]
+        for name, prints in cold.items():
+            assert prints == expected, name
+
+        warm_cache = RunCache(root)
+        warm = self._entry_points(warm_cache)
+        assert warm == cold
+        assert warm_cache.misses == 0
+        assert warm_cache.stores == 0

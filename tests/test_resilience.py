@@ -436,6 +436,80 @@ class TestResilientSweep:
         for a, b in zip(first.results.records, second.results.records):
             assert fingerprint(a.stats) == fingerprint(b.stats)
 
+    def test_checkpoint_never_serves_another_scale(self, tmp_path):
+        # Entries used to be keyed by the point label, which omits the
+        # scale: a resume at a new scale got the old scale's result.
+        path = str(tmp_path / "ckpt.json")
+        small = tiny_sweep(systems=("CGL",))
+        first = run_sweep_resilient(small, checkpoint_path=path)
+        larger = tiny_sweep(systems=("CGL",))
+        larger.scale = 0.1
+        report = run_sweep_resilient(larger, checkpoint_path=path)
+        assert report.executed == 1 and report.resumed == 0
+        (rec,) = report.results.records
+        assert rec.cycles != first.results.records[0].cycles
+        assert fingerprint(rec.stats) == fingerprint(
+            larger.run().records[0].stats
+        )
+
+    def test_checkpoint_never_serves_other_params(self, tmp_path):
+        from repro.common.params import small_cache_params
+
+        path = str(tmp_path / "ckpt.json")
+        run_sweep_resilient(tiny_sweep(systems=("CGL",)), checkpoint_path=path)
+        retuned = tiny_sweep(systems=("CGL",))
+        retuned.params_by_tag = {"typical": small_cache_params()}
+        report = run_sweep_resilient(retuned, checkpoint_path=path)
+        assert report.executed == 1 and report.resumed == 0
+
+    def test_checkpoint_keeps_fault_plan_runs_apart(self, tmp_path):
+        path = str(tmp_path / "ckpt.json")
+        sweep = tiny_sweep(systems=("CGL",))
+        plan = get_plan("jitter")
+        clean = run_sweep_resilient(sweep, checkpoint_path=path)
+        chaos = run_sweep_resilient(
+            sweep, checkpoint_path=path, fault_plan=plan
+        )
+        assert chaos.executed == 1 and chaos.resumed == 0
+        again = run_sweep_resilient(
+            sweep, checkpoint_path=path, fault_plan=plan
+        )
+        assert again.executed == 0 and again.resumed == 1
+        assert fingerprint(again.results.records[0].stats) == fingerprint(
+            chaos.results.records[0].stats
+        )
+        plain = run_sweep_resilient(sweep, checkpoint_path=path)
+        assert plain.executed == 0 and plain.resumed == 1
+        assert fingerprint(plain.results.records[0].stats) == fingerprint(
+            clean.results.records[0].stats
+        )
+
+    def test_label_keyed_checkpoint_entries_reexecute(self, tmp_path):
+        path = str(tmp_path / "ckpt.json")
+        sweep = tiny_sweep(systems=("CGL",))
+        (point,) = sweep.points()
+        legacy = SweepCheckpoint(path)
+        legacy.put(point.label(), RunStats(execution_cycles=1, cores=[]))
+        legacy.save()
+        report = run_sweep_resilient(sweep, checkpoint_path=path)
+        assert report.executed == 1 and report.resumed == 0
+        assert fingerprint(report.results.records[0].stats) == fingerprint(
+            sweep.run().records[0].stats
+        )
+
+    def test_seed_checkpoint_never_serves_another_scale(self, tmp_path):
+        path = str(tmp_path / "seeds.json")
+        multi_seed_runs_resilient(
+            "ssca2", "CGL", 2, seeds=(1,), scale=0.05, checkpoint_path=path
+        )
+        (resumed,), _ = multi_seed_runs_resilient(
+            "ssca2", "CGL", 2, seeds=(1,), scale=0.1, checkpoint_path=path
+        )
+        (fresh,), _ = multi_seed_runs_resilient(
+            "ssca2", "CGL", 2, seeds=(1,), scale=0.1
+        )
+        assert fingerprint(resumed) == fingerprint(fresh)
+
     def test_checkpoint_roundtrip(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         sweep = tiny_sweep(systems=("CGL",))

@@ -234,6 +234,24 @@ class TestResolveJobs:
         assert "0 = one worker per CPU" in msg
 
 
+    def test_experiment_context_reports_malformed_env(self, monkeypatch):
+        # ExperimentContext used to parse $REPRO_JOBS itself and fail
+        # with a bare int() error; now it defers to resolve_jobs.
+        from repro.harness.experiments import ExperimentContext
+
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        ctx = ExperimentContext(
+            scale=0.05, threads=(2,), workloads=("ssca2",)
+        )
+        assert ctx.jobs is None
+        with pytest.raises(ValueError) as err:
+            ctx.prewarm([("ssca2", "CGL", 2)])
+        with pytest.raises(ValueError) as direct:
+            resolve_jobs(None)
+        assert str(err.value) == str(direct.value)
+        assert "invalid REPRO_JOBS='abc'" in str(err.value)
+
+
 class TestRunCells:
     def _tasks(self):
         return [
