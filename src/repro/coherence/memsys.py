@@ -104,10 +104,6 @@ class MemorySystem:
         #: of the per-access method calls on the directory miss path.
         self._tile_of = [tile_of_core(c) for c in range(n)]
         self._n_tiles = topology.num_tiles
-        #: Per-core pinned-line predicates, cached against the identity
-        #: of the TxState's read set (the sets are cleared in place, so
-        #: one closure per TxState lifetime suffices).
-        self._pinned_preds: Dict[int, tuple] = {}
         self.l1s: List[CacheArray] = [CacheArray(params.l1) for _ in range(n)]
         #: MESI-Three-Level-HTM mode (§IV-A): a private middle cache per
         #: core maintains the transactional data.  None = two-level.
@@ -173,7 +169,6 @@ class MemorySystem:
         self.tx_readers.clear()
         self.tx_writers.clear()
         self.tx_states = []
-        self._pinned_preds.clear()
         self.of_rd_sig.clear()
         self.of_wr_sig.clear()
         self.sig_owner = -1
@@ -355,28 +350,18 @@ class MemorySystem:
             self.tx_states[core], now
         )
 
-    def _pinned_pred(
-        self, core: int, tx: TxState
-    ) -> Optional[Callable[[int], bool]]:
+    @staticmethod
+    def _pinned_pred(tx: TxState) -> Optional[Callable[[int], bool]]:
         # Identity checks instead of the in_transaction enum property:
         # this runs on every private-cache insert.
         mode = tx.mode
         if mode is TxMode.NONE or mode is TxMode.FALLBACK:
             return None
-        rs, ws = tx.read_set, tx.write_set
-        if not rs and not ws:
+        if not tx.read_set and not tx.write_set:
             # Nothing tracked yet: an always-false predicate selects the
-            # same LRU victim as no predicate, without the closure.
+            # same LRU victim as no predicate, without the call.
             return None
-        # The sets are cleared in place across transactions, so one
-        # closure per TxState lifetime suffices; the identity check
-        # invalidates the cache if the TxState is ever swapped out.
-        cached = self._pinned_preds.get(core)
-        if cached is not None and cached[0] is rs:
-            return cached[1]
-        pred = lambda line: line in rs or line in ws  # noqa: E731
-        self._pinned_preds[core] = (rs, pred)
-        return pred
+        return tx.is_pinned
 
     def _collect_holders(
         self, core: int, line: int, is_write: bool, now: int
@@ -503,7 +488,7 @@ class MemorySystem:
         needs_insert = outer.probe(line) == MESI.I
         pinned = None
         if needs_insert:
-            pinned = self._pinned_pred(core, tx)
+            pinned = self._pinned_pred(tx)
             if (
                 pinned is not None
                 and outer.set_occupancy(line) >= outer_params.assoc
@@ -720,9 +705,8 @@ class MemorySystem:
 
     def _purge_private(self, core: int, line: int) -> None:
         """Invalidate a line from every private level of ``core``."""
-        if self.l1s[core].probe(line) != MESI.I:
-            self.l1s[core].invalidate(line)
-        if self.l2s is not None and self.l2s[core].probe(line) != MESI.I:
+        self.l1s[core].invalidate(line)
+        if self.l2s is not None:
             self.l2s[core].invalidate(line)
 
     def _demote_private(self, core: int, line: int) -> None:

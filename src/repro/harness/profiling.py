@@ -34,8 +34,7 @@ from repro.workloads.registry import get_workload
 #: Registry prefixes summed into the attribution table, with the
 #: counter names (per prefix) that represent "events handled".
 _SUBSYSTEM_COUNTERS = {
-    "sim": ("events_processed", "ring_events", "heap_events",
-            "heap_compactions"),
+    "sim": ("events_processed", "heap_compactions"),
     "noc": ("messages_sent", "flits_sent", "hops_traversed",
             "link_stalls"),
     "mem": None,  # None = every integer counter under the prefix

@@ -45,7 +45,7 @@ from repro.harness.export import (
 #: Bump to invalidate every cached result (e.g. after a simulator change
 #: that intentionally alters timing).  The export schema version is also
 #: folded into the key, so result-format changes invalidate too.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 def default_cache_dir() -> str:

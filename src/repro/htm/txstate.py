@@ -70,6 +70,7 @@ class TxState:
         "last_write_count",
         "pending_anchor",
         "pending_steps",
+        "is_pinned",
     )
 
     def __init__(self, core: int) -> None:
@@ -97,6 +98,11 @@ class TxState:
         #: never sets one, keeping :meth:`insts_at` a plain field read).
         self.pending_anchor = None
         self.pending_steps = ()
+        #: ``line -> bool``: is ``line`` in the read or write set?  The
+        #: private-cache victim filter.  Built once: the sets are only
+        #: ever cleared in place, never rebound.
+        rs, ws = self.read_set, self.write_set
+        self.is_pinned = lambda line: line in rs or line in ws
 
     # -- lifecycle -----------------------------------------------------
 

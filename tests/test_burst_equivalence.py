@@ -73,6 +73,9 @@ CELLS = [
     ("vacation+", "LockillerTM-RWIL", 4, 0.05, 1),
     ("kmeans+", "CGL", 2, 0.05, 2),
     ("yada", "LosaTM-SAFU", 4, 0.05, 5),
+    # 32 threads: a mid-cycle abort checkpoint schedules a zero-delay
+    # event whose vtime precedes same-cycle events already queued.
+    ("yada", "LockillerTM-RWI", 32, 0.05, 3),
 ]
 
 
@@ -113,10 +116,8 @@ def test_profile_run_smoke():
     assert "sim" in report.subsystems
     counters = report.subsystems["sim"]
     assert counters["events_processed"] == report.events_processed
-    assert (
-        counters["ring_events"] + counters["heap_events"]
-        >= report.events_processed
-    )
+    assert set(counters) == {"events_processed", "heap_compactions"}
+    assert 0 <= counters["heap_compactions"] <= report.events_processed
     rendered = report.render()
     assert "hottest functions" in rendered
     assert "ncalls" in rendered

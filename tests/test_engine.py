@@ -318,13 +318,34 @@ class TestCalendarRingEdgeCases:
             eng.schedule_after_virtual(2, lambda t: None, 3)
 
     def test_ring_to_heap_boundary(self):
-        from repro.sim.engine import RING_SPAN
-
+        # Delays 63 and 64 straddled the old 64-slot ring's boundary
+        # into the heap.  Scheduled out of time order, they fire in
+        # time order; a same-cycle pair reached with different delays
+        # fires in allocation order.
         eng = SimEngine()
         seen = []
-        eng.schedule_after(RING_SPAN - 1, seen.append)  # last ring slot
-        eng.schedule_after(RING_SPAN, seen.append)  # first heap delay
-        assert eng.ring_events == 1
-        assert eng.heap_events == 1
+        eng.schedule_after(64, lambda t: seen.append(("b", t)))
+        eng.schedule_after(63, lambda t: seen.append(("a", t)))
+        eng.schedule(
+            1,
+            lambda t: eng.schedule_after(63, lambda tt: seen.append(("c", tt))),
+        )
         eng.run()
-        assert seen == [RING_SPAN - 1, RING_SPAN]
+        assert seen == [("a", 63), ("b", 64), ("c", 64)]
+
+    def test_zero_delay_virtual_event_orders_by_vtime_mid_cycle(self):
+        # A fires at (10, vtime 0) and schedules a zero-delay event C
+        # with vtime 5; B waits at (10, vtime 8).  The (time, vtime,
+        # seq) order puts C before B even though C was scheduled while
+        # cycle 10 was already being drained.
+        eng = SimEngine()
+        seen = []
+
+        def a(t):
+            seen.append("A")
+            eng.schedule_after_virtual(0, lambda tt: seen.append("C"), -5)
+
+        eng.schedule(10, a)  # vtime 0
+        eng.schedule(8, lambda t: eng.schedule(10, lambda tt: seen.append("B")))
+        eng.run()
+        assert seen == ["A", "C", "B"]
