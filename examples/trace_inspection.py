@@ -10,19 +10,21 @@ debugging loop you would actually use when a workload misbehaves:
   https://ui.perfetto.dev (or ``chrome://tracing``) to see one track
   per core plus live-set / signature-fill counter tracks;
 * the hierarchical metrics registry (``core.N.*``, ``htm.nack.*``,
-  ``noc.*``, ``lock_tx.*``);
-* the classic event tracer, which now rides the same telemetry event
-  bus — note ``attach`` is idempotent and ``detach`` restores the
-  machine's callbacks.
+  ``noc.*``, ``lock_tx.*``), including one ``events.<kind>`` counter per
+  lifecycle event;
+* a hottest-contended-lines table from a three-line subscriber on the
+  machine's telemetry event hub — any callable can subscribe, and
+  unsubscribing the last one restores the machine's callbacks.
 
 Run:  python examples/trace_inspection.py
 """
 
+from collections import Counter
+
 from repro.common.params import typical_params
 from repro.harness.systems import get_system
 from repro.sim.machine import Machine
-from repro.sim.trace import TraceEvent, Tracer
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, TelemetryHub, TraceEvent
 from repro.workloads.registry import get_workload
 
 TRACE_PATH = "trace_inspection.trace.json"
@@ -30,23 +32,29 @@ TRACE_PATH = "trace_inspection.trace.json"
 
 def main() -> None:
     telemetry = Telemetry()
-    tracer = Tracer(capacity=200_000)
 
     build = get_workload("intruder").build(threads=6, scale=0.15, seed=42)
     machine = Machine(
         typical_params(), get_system("LockillerTM"), build.programs, seed=42
     )
-    # Both consumers share one set of callback wraps on the machine's
-    # telemetry hub; attaching either twice is a harmless no-op.
+    rejects_per_line = Counter()
+
+    def count_rejects(ev):
+        if ev.kind is TraceEvent.REJECT:
+            rejects_per_line[ev.line] += 1
+
+    # The session and the counter share one set of callback wraps on
+    # the machine's telemetry hub; attaching twice is a harmless no-op.
     telemetry.attach(machine)
-    tracer.attach(machine)
-    tracer.attach(machine)  # idempotent: no double-wrapping, no error
+    telemetry.attach(machine)  # idempotent: no double-wrapping, no error
+    hub = TelemetryHub.of(machine)
+    hub.subscribe(count_rejects)
     cycles = machine.run()
     failures = build.verify(machine.memsys.memory)
     assert not failures, failures
     telemetry.finalize(None, build)
 
-    print(f"run finished in {cycles} cycles; {len(tracer)} trace records\n")
+    print(f"run finished in {cycles} cycles\n")
 
     # -- the transaction timeline ------------------------------------
     timeline = telemetry.timeline
@@ -79,22 +87,25 @@ def main() -> None:
         print(f"  {name:32s} {reg.value(name)}")
 
     print("\nhottest contended lines (by reject events):")
-    for line, hits in tracer.contention_profile().hottest(5):
+    for line, hits in rejects_per_line.most_common(5):
         print(f"  line {line:#x}: {hits} rejected requests")
 
-    counts = tracer.counts()
     print("\nevent counts:")
-    for event in TraceEvent:
-        if counts.get(event):
-            print(f"  {event.value:15s} {counts[event]}")
+    for name, count in reg.query("events").items():
+        print(f"  {name[len('events.'):]:15s} {count}")
 
-    print("\nlast 8 trace records:")
-    print(tracer.render_tail(8))
+    print("\nlast 8 transaction spans:")
+    for span in timeline.spans[-8:]:
+        print(
+            f"  [{span.start:>10d}, {span.end:>10d}] core{span.core:<2d} "
+            f"{span.label()}"
+        )
 
-    # Restore the machine's callbacks (reverse order, exact originals).
-    tracer.detach()
+    # Restore the machine's callbacks (exact originals once the last
+    # subscriber leaves).
+    hub.unsubscribe(count_rejects)
     telemetry.detach()
-
+    assert not hub.wired
 
 if __name__ == "__main__":
     main()

@@ -194,9 +194,9 @@ def trace_cell(
     the cached result bit-for-bit while capturing the *why*.  The result
     is stored (``cache=None`` means the default cache directory;
     ``telemetry=None`` a fresh ``Telemetry`` session), then
-    ``<key>.metrics.json`` and — when the session keeps a timeline —
-    ``<key>.trace.json`` are written atomically next to ``<key>.json``.
-    Returns ``{"result": path, "metrics": path[, "trace": path]}``.
+    ``<key>.metrics.json`` and ``<key>.trace.json`` are written
+    atomically next to ``<key>.json``.
+    Returns ``{"result": path, "metrics": path, "trace": path}``.
     """
     from repro.telemetry import Telemetry
     from repro.telemetry.sinks import artifact_path
@@ -208,12 +208,10 @@ def trace_cell(
     stats = simulate(task, telemetry=tel)
     store(rc, task, stats)
     key = task.key()
-    out = {
+    return {
         "result": rc.path_for(key),
         "metrics": tel.write_metrics(artifact_path(rc, key, "metrics")),
-    }
-    if tel.timeline is not None:
-        out["trace"] = tel.write_trace(
+        "trace": tel.write_trace(
             artifact_path(rc, key, "trace"), run_label=run_label
-        )
-    return out
+        ),
+    }

@@ -56,6 +56,13 @@ API_VERSION = "v1"
 DEFAULT_TENANT = "default"
 TENANT_HEADER = "x-repro-tenant"
 
+#: Request-size caps.  A longer request line answers 414, a longer
+#: header line or more header lines 431, and a larger declared body 413
+#: before any of it is read.
+MAX_LINE_BYTES = 1 << 16
+MAX_HEADERS = 100
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass
 class ServiceConfig:
@@ -136,7 +143,8 @@ class ReproService:
             for _ in range(self.workers)
         ))
         self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
+            self._handle_conn, self.config.host, self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -478,9 +486,10 @@ class ReproService:
             await self._route(method, path, headers, body, writer)
         except ConnectionError:
             pass
-        except ConfigError as exc:  # malformed request
+        except (ConfigError, _Refused) as exc:  # malformed or oversized
             try:
-                _write_response(writer, 400, {"error": str(exc)})
+                _write_response(writer, getattr(exc, "status", 400),
+                                {"error": str(exc)})
             except ConnectionError:
                 pass
         except Exception as exc:  # noqa: BLE001 - one bad conn, not us
@@ -498,7 +507,7 @@ class ReproService:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        line = await _read_line(reader, 414, "request line")
         if not line:
             return None
         try:
@@ -506,16 +515,22 @@ class ReproService:
         except ValueError:
             raise ConfigError(f"malformed request line {line!r}")
         headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
+        for _ in range(MAX_HEADERS + 1):
+            raw = await _read_line(reader, 431, "header line")
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _Refused(431, f"more than {MAX_HEADERS} header lines")
         raw_length = headers.get("content-length", "0") or "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise ConfigError(f"bad Content-Length {raw_length!r}")
         length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            raise _Refused(
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
@@ -626,12 +641,31 @@ class ReproService:
             await job.wait_events(cursor)
 
 
+class _Refused(Exception):
+    """A request refused before routing; answers ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int,
+                     what: str) -> bytes:
+    """One CRLF line, or ``_Refused(status)`` past ``MAX_LINE_BYTES``."""
+    try:
+        return await reader.readline()
+    except ValueError:  # the stream's line limit was overrun
+        raise _Refused(status, f"{what} longer than {MAX_LINE_BYTES} bytes")
+
+
 def _write_response(writer: asyncio.StreamWriter, status: int,
                     payload: Dict,
                     extra_headers: Optional[Dict[str, str]] = None
                     ) -> None:
     reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-               404: "Not Found", 429: "Too Many Requests",
+               404: "Not Found", 413: "Content Too Large",
+               414: "URI Too Long", 429: "Too Many Requests",
+               431: "Request Header Fields Too Large",
                500: "Internal Server Error", 503: "Service Unavailable"}
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = [

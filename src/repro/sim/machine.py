@@ -198,11 +198,17 @@ class Machine:
         cpu.note_external_abort(now)
 
     def abort_all_htm(self, reason: AbortReason, exclude: int) -> None:
-        """The classic fallback lock acquisition: every subscriber dies."""
+        """The classic fallback lock acquisition: every subscriber dies.
+
+        Goes through ``memsys.abort_core`` (which is
+        :meth:`abort_externally` unless a telemetry hub has wrapped it)
+        so these aborts are observed like every other victim abort.
+        """
         now = self.engine.now
+        abort_core = self.memsys.abort_core
         for cpu in self.cpus:
             if cpu.core != exclude and cpu.tx.mode is TxMode.HTM:
-                self.abort_externally(cpu.core, reason, now)
+                abort_core(cpu.core, reason, now)
 
     def drain_wakeups(self, holder: int, now: int) -> None:
         """Commit/abort-time flush of the holder's wake-up table entry."""

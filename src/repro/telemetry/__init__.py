@@ -25,15 +25,8 @@ from repro.telemetry.chrometrace import (
     validate_chrome_trace,
 )
 from repro.telemetry.events import TelemetryEvent, TelemetryHub, TraceEvent
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    NULL_METRIC,
-    NULL_REGISTRY,
-    Scope,
-)
-from repro.telemetry.session import NULL_TELEMETRY, Telemetry
+from repro.telemetry.registry import Counter, Gauge, MetricsRegistry, Scope
+from repro.telemetry.session import Telemetry
 from repro.telemetry.sinks import (
     ARTIFACT_SUFFIXES,
     artifact_path,
@@ -48,9 +41,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
-    "NULL_METRIC",
-    "NULL_REGISTRY",
-    "NULL_TELEMETRY",
     "Scope",
     "Telemetry",
     "TelemetryEvent",

@@ -1,18 +1,18 @@
 """The telemetry event bus: one wrap of the machine, many consumers.
 
 ``TelemetryHub`` monkey-wires the machine's transaction-lifecycle
-callbacks exactly once (the same points :class:`repro.sim.trace.Tracer`
-historically wrapped itself) and fans structured
-:class:`TelemetryEvent` records out to any number of subscribers — the
-tracer, the timeline reconstructor, live metric counters.  Because the
+callbacks exactly once and fans structured :class:`TelemetryEvent`
+records out to any number of subscribers — in the library that is the
+one handler of :class:`~repro.telemetry.session.Telemetry` (event
+counters plus the timeline); a plain callable works too.  Because the
 wraps are installed only when the first subscriber arrives and removed
 when the last one leaves, an un-instrumented machine carries **zero**
 telemetry cost: no wrapper frames, no event objects, no registry calls.
 Observation never schedules events or mutates architectural state, so
 an instrumented run is cycle-for-cycle identical to a bare one.
 
-The canonical lifecycle-event vocabulary lives here; ``repro.sim.trace``
-re-exports it as ``TraceEvent`` for backwards compatibility.
+The canonical lifecycle-event vocabulary, :class:`TraceEvent`, lives
+here.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """The telemetry session facade: one object per observed run.
 
-``Telemetry`` bundles a :class:`MetricsRegistry` and a
-:class:`TimelineBuilder`, subscribes both to the machine's
-:class:`~repro.telemetry.events.TelemetryHub`, and at ``finalize`` time
-asks every component to publish its counters into the registry
-(pull-model, so the simulator's hot paths carry no metric calls).
-Typical use, via :func:`repro.sim.runner.run_workload`::
+``Telemetry`` is the one object that attaches to a machine.  It
+subscribes a single handler to the machine's
+:class:`~repro.telemetry.events.TelemetryHub` that counts every event
+into ``events.<kind>`` and folds it into a :class:`TimelineBuilder`;
+at ``finalize`` time it asks every component to publish its counters
+into the registry (pull-model, so the simulator's hot paths carry no
+metric calls).  Typical use, via :func:`repro.sim.runner.run_workload`::
 
     tel = Telemetry()
     stats = run_workload(RunConfig(spec, 4, 0.05, seed=3,
@@ -13,14 +14,13 @@ Typical use, via :func:`repro.sim.runner.run_workload`::
     tel.registry.snapshot()      # flat {name: value}
     tel.trace_dict("intruder")   # Chrome trace-event JSON (Perfetto)
 
-Constructing with ``enabled=False`` yields a fully inert session:
-``attach`` is a no-op and the machine is never wrapped, which is the
-golden-preserving default path.
+Telemetry off is ``telemetry=None``: the machine is never wrapped,
+which is the golden-preserving default path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.telemetry.chrometrace import chrome_trace, validate_chrome_trace
 from repro.telemetry.events import TelemetryEvent, TelemetryHub
@@ -30,19 +30,11 @@ from repro.telemetry.timeline import TimelineBuilder
 
 
 class Telemetry:
-    """Registry + timeline + hub subscriptions for one run."""
+    """Registry + timeline + one hub subscription for one run."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        timeline: bool = True,
-        capacity: int = 200_000,
-    ) -> None:
-        self.enabled = enabled
-        self.registry = MetricsRegistry(enabled=enabled)
-        self.timeline: Optional[TimelineBuilder] = (
-            TimelineBuilder(capacity=capacity) if enabled and timeline else None
-        )
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.timeline = TimelineBuilder()
         self._machine = None
         self._finalized = False
 
@@ -50,30 +42,27 @@ class Telemetry:
 
     def attach(self, machine) -> "Telemetry":
         """Wire this session to ``machine`` (idempotent per machine)."""
-        if not self.enabled or self._machine is machine:
+        if self._machine is machine:
             return self
         if self._machine is not None:
             raise RuntimeError(
                 "telemetry session already attached to another machine"
             )
         self._machine = machine
-        hub = TelemetryHub.of(machine)
-        hub.subscribe(self._count_event)
-        if self.timeline is not None:
-            self.timeline.attach(machine)
+        self.timeline.machine = machine
+        TelemetryHub.of(machine).subscribe(self._on_event)
         return self
 
     def detach(self) -> None:
         if self._machine is None:
             return
-        hub = TelemetryHub.of(self._machine)
-        if self.timeline is not None:
-            self.timeline.detach()
-        hub.unsubscribe(self._count_event)
+        TelemetryHub.of(self._machine).unsubscribe(self._on_event)
+        self.timeline.machine = None
         self._machine = None
 
-    def _count_event(self, ev: TelemetryEvent) -> None:
+    def _on_event(self, ev: TelemetryEvent) -> None:
         self.registry.counter(f"events.{ev.kind.value}").inc()
+        self.timeline.handle(ev)
 
     def finalize(self, stats=None, build=None) -> "Telemetry":
         """Pull component metrics into the registry; close the timeline.
@@ -84,7 +73,7 @@ class Telemetry:
         whatever is given gets published).  The machine stays attached
         until :meth:`detach`, so artifacts can still be rendered.
         """
-        if not self.enabled or self._finalized:
+        if self._finalized:
             return self
         self._finalized = True
         machine = self._machine
@@ -94,8 +83,7 @@ class Telemetry:
             end_time = stats.execution_cycles
         elif machine is not None:
             end_time = machine.engine.now
-        if self.timeline is not None:
-            self.timeline.close(end_time)
+        self.timeline.close(end_time)
         if machine is not None:
             machine.publish_telemetry(reg)
         if stats is not None:
@@ -119,8 +107,6 @@ class Telemetry:
         return self.registry.snapshot()
 
     def trace_dict(self, run_label: str = "repro") -> Dict[str, object]:
-        if self.timeline is None:
-            raise RuntimeError("telemetry session has no timeline")
         doc = chrome_trace(self.timeline, run_label=run_label)
         problems = validate_chrome_trace(doc)
         if problems:  # pragma: no cover - renderer bug guard
@@ -134,7 +120,3 @@ class Telemetry:
 
     def write_trace(self, path: str, run_label: str = "repro") -> str:
         return write_json_atomic(path, self.trace_dict(run_label))
-
-
-#: Disabled singleton: accepted anywhere ``telemetry=`` is, costs nothing.
-NULL_TELEMETRY = Telemetry(enabled=False)

@@ -1,7 +1,8 @@
 """Transaction timeline reconstruction from lifecycle events.
 
-Subscribes to the :class:`~repro.telemetry.events.TelemetryHub` and
-folds the event stream into per-transaction **spans**: one
+Fed by :class:`~repro.telemetry.session.Telemetry`'s one subscription
+to the :class:`~repro.telemetry.events.TelemetryHub`, it folds the
+event stream into per-transaction **spans**: one
 :class:`TxSpan` per critical-section attempt, from ``xbegin`` (or
 irrevocable lock entry) through its NACKs, stalls, spills and wake-ups
 to the commit or abort that closes it.  Spans carry the attempt's mode
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.events import TelemetryEvent, TelemetryHub, TraceEvent
+from repro.telemetry.events import TelemetryEvent, TraceEvent
 
 #: Span-boundary kinds that trigger a counter-track sample.
 _SAMPLE_KINDS = (
@@ -111,11 +112,13 @@ class TimelineBuilder:
 
     #: Per-span annotation cap (runaway NACK storms stay bounded).
     MAX_MARKS_PER_SPAN = 64
+    #: Memory bound on spans, instants and counter samples (each).
+    CAPACITY = 200_000
 
-    def __init__(self, capacity: int = 200_000) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
+        #: The observed machine (set by ``Telemetry.attach``); read for
+        #: close-time priorities and counter-track samples.
+        self.machine = None
         self.spans: List[TxSpan] = []
         #: Instant events outside any span (e.g. plain-access NACKs).
         self.instants: List[Tuple[int, int, str]] = []
@@ -124,25 +127,7 @@ class TimelineBuilder:
         self.dropped = 0
         self._open: Dict[int, TxSpan] = {}
         self._span_seq: Dict[int, int] = {}
-        self._machine = None
         self._last_sample_time = -1
-
-    # -- hub plumbing --------------------------------------------------
-
-    def attach(self, machine) -> "TimelineBuilder":
-        if self._machine is machine:
-            return self
-        if self._machine is not None:
-            raise RuntimeError("timeline already attached to another machine")
-        self._machine = machine
-        TelemetryHub.of(machine).subscribe(self.handle)
-        return self
-
-    def detach(self) -> None:
-        if self._machine is None:
-            return
-        TelemetryHub.of(self._machine).unsubscribe(self.handle)
-        self._machine = None
 
     # -- event folding -------------------------------------------------
 
@@ -167,7 +152,7 @@ class TimelineBuilder:
             span.kind = ev.arg
         else:
             span.abort_reason = ev.arg
-        machine = self._machine
+        machine = self.machine
         if machine is not None:
             span.priority = machine.memsys.priority_of(ev.core, ev.time)
 
@@ -176,7 +161,7 @@ class TimelineBuilder:
             span.marks.append((time, label))
 
     def _record(self, span: TxSpan) -> None:
-        if len(self.spans) >= self.capacity:
+        if len(self.spans) >= self.CAPACITY:
             self.dropped += 1
             return
         self.spans.append(span)
@@ -225,13 +210,13 @@ class TimelineBuilder:
             self._sample(ev.time)
 
     def _instant(self, time: int, core: int, label: str) -> None:
-        if len(self.instants) < self.capacity:
+        if len(self.instants) < self.CAPACITY:
             self.instants.append((time, core, label))
         else:
             self.dropped += 1
 
     def _sample(self, time: int) -> None:
-        machine = self._machine
+        machine = self.machine
         if machine is None or time == self._last_sample_time:
             return
         self._last_sample_time = time
@@ -240,7 +225,7 @@ class TimelineBuilder:
             len(tx.read_set) + len(tx.write_set) for tx in memsys.tx_states
         )
         sig = memsys.of_rd_sig.popcount + memsys.of_wr_sig.popcount
-        if len(self.counter_samples) < self.capacity:
+        if len(self.counter_samples) < self.CAPACITY:
             self.counter_samples.append((time, live, sig))
 
     # -- finalization / queries ----------------------------------------

@@ -26,7 +26,13 @@ from repro.service import (
     ServiceError,
     ShardedStore,
 )
-from repro.service.server import ServiceConfig, ServiceThread
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    MAX_HEADERS,
+    MAX_LINE_BYTES,
+    ServiceConfig,
+    ServiceThread,
+)
 
 TINY = {
     "kind": "sweep",
@@ -218,20 +224,39 @@ class TestServiceHTTP:
 
 
 def raw_request(handle, data: bytes) -> bytes:
-    """Send raw bytes to the service and read the reply until EOF."""
+    """Send raw bytes to the service and read the reply until EOF.
+
+    A server that refuses a request before reading all of it closes
+    with unread bytes pending, which the kernel may turn into a reset
+    after the reply; the reply read so far is returned then.
+    """
     address = (handle.host, handle.port)
     with socket.create_connection(address, timeout=30) as sock:
-        sock.sendall(data)
         chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return b"".join(chunks)
-            chunks.append(chunk)
+        try:
+            sock.sendall(data)
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+        return b"".join(chunks)
 
 
 class TestMalformedRequests:
-    """Malformed HTTP input is the client's error: 400, never 500."""
+    """Malformed or oversized HTTP input is the client's error: 4xx,
+    never 500, and the service keeps answering."""
+
+    @staticmethod
+    def assert_refused(service, data, status):
+        reply = raw_request(service, data)
+        assert reply.startswith(b"HTTP/1.1 %d " % status), reply[:80]
+        body = json.loads(reply.partition(b"\r\n\r\n")[2])
+        assert "error" in body
+        # The connection handler survived: the service still answers.
+        assert client_of(service).healthz()["ok"] is True
 
     @pytest.mark.parametrize(
         "data",
@@ -243,12 +268,32 @@ class TestMalformedRequests:
         ids=["request-line", "non-integer-length", "negative-length"],
     )
     def test_answers_400(self, service, data):
-        reply = raw_request(service, data)
-        assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
-        body = json.loads(reply.partition(b"\r\n\r\n")[2])
-        assert "error" in body
-        # The connection handler survived: the service still answers.
-        assert client_of(service).healthz()["ok"] is True
+        self.assert_refused(service, data, 400)
+
+    @pytest.mark.parametrize(
+        "data,status",
+        [
+            (b"GET /v1/" + b"x" * MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n",
+             414),
+            (b"GET /v1/healthz HTTP/1.1\r\nX-Big: "
+             + b"x" * MAX_LINE_BYTES + b"\r\n\r\n", 431),
+            (b"GET /v1/healthz HTTP/1.1\r\n"
+             + b"X-H: 1\r\n" * (MAX_HEADERS + 1) + b"\r\n", 431),
+            # No body follows: a server that tried to read the declared
+            # length would hang here instead of answering.
+            (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+             % (MAX_BODY_BYTES + 1), 413),
+        ],
+        ids=["long-request-line", "long-header-line", "too-many-headers",
+             "body-over-cap"],
+    )
+    def test_oversized_refused(self, service, data, status):
+        self.assert_refused(service, data, status)
+
+    def test_caps_admit_requests_at_the_limit(self, service):
+        data = (b"GET /v1/healthz HTTP/1.1\r\n"
+                + b"X-H: 1\r\n" * MAX_HEADERS + b"\r\n")
+        assert raw_request(service, data).startswith(b"HTTP/1.1 200 ")
 
 
 @pytest.mark.skipif(

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.common.params import typical_params
+from repro.common.stats import AbortReason, RunStats
 from repro.harness.cli import main as cli_main
 from repro.harness.export import fingerprint
 from repro.harness.multiseed import trace_seed
@@ -25,7 +26,6 @@ from repro.sim.runner import RunConfig, run_workload
 from repro.telemetry import (
     ARTIFACT_SUFFIXES,
     MetricsRegistry,
-    NULL_METRIC,
     Telemetry,
     TelemetryHub,
     artifact_path,
@@ -88,16 +88,6 @@ class TestRegistry:
             reg.gauge("x")
         with pytest.raises(TypeError):
             reg.histogram("x")
-
-    def test_disabled_registry_is_null(self):
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("a") is NULL_METRIC
-        assert reg.gauge("b") is NULL_METRIC
-        assert reg.histogram("c") is NULL_METRIC
-        reg.counter("a").inc()
-        reg.set("d", 7)
-        assert len(reg) == 0
-        assert reg.snapshot() == {}
 
     def test_scope_prefixes(self):
         reg = MetricsRegistry()
@@ -172,6 +162,59 @@ class TestBitIdentity:
         assert all(s.end is not None for s in tl.spans)
         assert tel.registry.value("run.execution_cycles") == GOLD_CYCLES
         assert tel.registry.value("run.commits") == GOLD_COMMITS
+
+    @pytest.mark.parametrize(
+        "system", ["LockillerTM-RWI", "LockillerTM"]
+    )
+    def test_on_matches_off_at_32_threads(self, system):
+        # No single cell fires both mutex aborts (classic fallback lock)
+        # and signature spills (HTMLock), so labyrinth pins one of each;
+        # both overflow.
+        def run(telemetry):
+            build = get_workload("labyrinth").build(32, 0.05, 3)
+            m = Machine(
+                typical_params(), get_system(system), build.programs, seed=3
+            )
+            if telemetry is not None:
+                telemetry.attach(m)
+            stats = RunStats(execution_cycles=m.run(), cores=m.core_stats)
+            return stats, dict(m.memsys.memory)
+
+        tel = Telemetry()
+        (off, off_mem), (on, on_mem) = run(None), run(tel)
+        assert on.execution_cycles == off.execution_cycles
+        assert fingerprint(on) == fingerprint(off)
+        assert on_mem == off_mem
+        reg = tel.registry
+        assert reg.value("events.overflow") > 0
+        if system == "LockillerTM":
+            assert reg.value("events.spill") > 0
+        else:
+            assert off.abort_breakdown()[AbortReason.MUTEX] > 0
+
+    def test_fallback_lock_aborts_reach_the_timeline(self):
+        # Classic fallback: taking the lock kills every subscribed
+        # transaction (the `mutex` aborts).  Each must close its span.
+        tel = Telemetry()
+        stats = run_workload(
+            get_workload("bayes"),
+            RunConfig(
+                spec=get_system("Baseline"),
+                threads=32,
+                scale=0.05,
+                seed=3,
+                telemetry=tel,
+            ),
+        )
+        breakdown = stats.abort_breakdown()
+        assert breakdown[AbortReason.MUTEX] > 0
+        assert tel.registry.value("events.tx_abort") == stats.total_aborts
+        spans = tel.timeline.spans
+        assert not [s for s in spans if s.outcome == "open"]
+        by_reason = {}
+        for s in tel.timeline.aborted():
+            by_reason[s.abort_reason] = by_reason.get(s.abort_reason, 0) + 1
+        assert by_reason == {r.value: n for r, n in breakdown.items() if n}
 
     def test_detached_after_run(self):
         tel = Telemetry()

@@ -1,54 +1,78 @@
-"""Tests for the execution tracer and contention profiler."""
+"""TelemetryHub event-stream coverage, observed through a plain
+``list.append`` subscriber: which callback wraps emit which events, and
+how subscribe / unsubscribe install and restore those wraps."""
 
 import pytest
 
 from repro.common.params import CacheParams, SystemParams
-from repro.harness.systems import get_system
 from repro.htm.isa import Plain, Txn, compute, fault, load, store
-from repro.sim.machine import Machine
-from repro.sim.trace import TraceEvent, Tracer
+from repro.telemetry import Telemetry, TelemetryHub, TimelineBuilder
+from repro.telemetry.events import TraceEvent
 from conftest import line_addr, make_machine, simple_txn
 
 
-def traced_run(programs, system="Baseline", params=None, **tracer_kw):
+def subscribed(m):
+    """Subscribe a fresh event list to ``m``'s hub; return the list."""
+    events = []
+    TelemetryHub.of(m).subscribe(events.append)
+    return events
+
+
+def traced_run(programs, system="Baseline", params=None):
     m = make_machine(programs, system=system, params=params)
-    tracer = Tracer(**tracer_kw)
-    tracer.attach(m)
+    events = subscribed(m)
     m.run()
-    return m, tracer
+    return m, events
+
+
+def counts(events):
+    out = {}
+    for ev in events:
+        out[ev.kind] = out.get(ev.kind, 0) + 1
+    return out
+
+
+def of_kind(events, kind):
+    return [ev for ev in events if ev.kind is kind]
+
+
+def contended_programs(line, txns=6):
+    """Four cores hammering one line in transactions (RWI NACKs)."""
+
+    def prog(t):
+        return [
+            Plain([compute(3 + t)]),
+            *[
+                Txn([load(line_addr(line)), store(line_addr(line), 1),
+                     compute(10)])
+                for _ in range(txns)
+            ],
+        ]
+
+    return [prog(t) for t in range(4)]
 
 
 class TestRecorder:
     def test_records_tx_lifecycle(self):
-        _, tracer = traced_run([[simple_txn([1], [2])]])
-        counts = tracer.counts()
-        assert counts[TraceEvent.TX_BEGIN] == 1
-        assert counts[TraceEvent.TX_COMMIT] == 1
-        assert TraceEvent.TX_ABORT not in counts
+        _, events = traced_run([[simple_txn([1], [2])]])
+        seen = counts(events)
+        assert seen[TraceEvent.TX_BEGIN] == 1
+        assert seen[TraceEvent.TX_COMMIT] == 1
+        assert TraceEvent.TX_ABORT not in seen
 
     def test_records_aborts(self):
         prog = [[Txn([fault(persistent=True), store(line_addr(1), 1)])]]
-        _, tracer = traced_run(prog)
-        counts = tracer.counts()
-        assert counts[TraceEvent.TX_ABORT] >= 1
-        assert counts[TraceEvent.FALLBACK] == 1
+        _, events = traced_run(prog)
+        seen = counts(events)
+        assert seen[TraceEvent.TX_ABORT] >= 1
+        assert seen[TraceEvent.FALLBACK] == 1
 
     def test_records_rejects_and_wakeups(self):
-        def prog(t):
-            return [
-                Plain([compute(3 + t)]),
-                *[
-                    Txn([load(line_addr(0)), store(line_addr(0), 1), compute(10)])
-                    for _ in range(6)
-                ],
-            ]
-
-        _, tracer = traced_run(
-            [prog(t) for t in range(4)], system="LockillerTM-RWI"
-        )
-        counts = tracer.counts()
-        assert counts.get(TraceEvent.REJECT, 0) > 0
-        assert counts.get(TraceEvent.WAKEUP, 0) > 0
+        _, events = traced_run(contended_programs(0), system="LockillerTM-RWI")
+        rejects = of_kind(events, TraceEvent.REJECT)
+        assert rejects and of_kind(events, TraceEvent.WAKEUP)
+        # A REJECT names the rejecting holder, never the requester.
+        assert all(0 <= ev.arg < 4 and ev.arg != ev.core for ev in rejects)
 
     def test_records_switching(self):
         params = SystemParams(
@@ -56,99 +80,76 @@ class TestRecorder:
             l1=CacheParams(2 * 64, 2, 2),
             llc=CacheParams(4096 * 64, 16, 12),
         )
-        _, tracer = traced_run(
+        _, events = traced_run(
             [[simple_txn([1, 2, 3], [4])]],
             system="LockillerTM",
             params=params,
         )
-        counts = tracer.counts()
-        assert counts.get(TraceEvent.OVERFLOW, 0) >= 1
-        assert counts.get(TraceEvent.SWITCH_OK, 0) == 1
+        seen = counts(events)
+        assert seen.get(TraceEvent.OVERFLOW, 0) >= 1
+        assert seen.get(TraceEvent.SWITCH_OK, 0) == 1
+        assert of_kind(events, TraceEvent.SWITCH_OK)[0].arg == "granted"
 
     def test_stl_deny_path_recorded(self):
         # The denial branch of the _stl_result wrap: drive the wrapped
         # callback directly (a machine-level denial needs a racing STL
         # owner, which is timing-fragile to stage).
         m = make_machine([[simple_txn([1], [2])]], system="LockillerTM")
-        tracer = Tracer()
-        tracer.attach(m)
+        events = subscribed(m)
         cpu = m.cpus[0]
         cpu._stl_result(5, False, cpu.tx.attempt_seq)
-        records = [r for r in tracer.records]
-        assert records[-1].event is TraceEvent.SWITCH_ATTEMPT
-        assert records[-1].detail == "denied"
-        assert records[-1].time == 5
+        last = events[-1]
+        assert last.kind is TraceEvent.SWITCH_ATTEMPT
+        assert (last.arg, last.time, last.core) == ("denied", 5, 0)
 
     def test_fallback_entry_and_lock_begin_recorded(self):
         prog = [[Txn([fault(persistent=True), store(line_addr(1), 1)])]]
-        _, tracer = traced_run(prog)  # Baseline: classic fallback lock
-        counts = tracer.counts()
-        assert counts[TraceEvent.FALLBACK] == 1
-        assert counts.get(TraceEvent.LOCK_BEGIN, 0) == 1
-        lock_rec = [
-            r for r in tracer.records if r.event is TraceEvent.LOCK_BEGIN
-        ][0]
-        assert lock_rec.detail == "fallback"
+        _, events = traced_run(prog)  # Baseline: classic fallback lock
+        seen = counts(events)
+        assert seen[TraceEvent.FALLBACK] == 1
+        lock_begins = of_kind(events, TraceEvent.LOCK_BEGIN)
+        assert [ev.arg for ev in lock_begins] == ["fallback"]
 
     def test_drain_wrap_reports_waiter_count(self):
-        def prog(t):
-            return [
-                Plain([compute(3 + t)]),
-                *[
-                    Txn([load(line_addr(0)), store(line_addr(0), 1), compute(10)])
-                    for _ in range(6)
-                ],
-            ]
-
-        _, tracer = traced_run(
-            [prog(t) for t in range(4)], system="LockillerTM-RWI"
-        )
-        wakeups = [
-            r for r in tracer.records if r.event is TraceEvent.WAKEUP
-        ]
+        _, events = traced_run(contended_programs(0), system="LockillerTM-RWI")
+        wakeups = of_kind(events, TraceEvent.WAKEUP)
         assert wakeups
-        assert all(r.detail.endswith("waiter(s)") for r in wakeups)
-        assert all(int(r.detail.split()[0]) >= 1 for r in wakeups)
+        assert all(isinstance(ev.arg, int) and ev.arg >= 1 for ev in wakeups)
 
-    def test_capacity_bound(self):
-        _, tracer = traced_run(
-            [[simple_txn([i], [i]) for i in range(10)]], capacity=3
-        )
-        assert len(tracer) == 3
-        assert tracer.dropped > 0
-        assert "dropped" in tracer.render_tail()
-
-    def test_event_filter(self):
-        _, tracer = traced_run(
-            [[simple_txn([1], [2])]],
-            events={TraceEvent.TX_COMMIT},
-        )
-        assert set(tracer.counts()) == {TraceEvent.TX_COMMIT}
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
+    def test_capacity_bound(self, monkeypatch):
+        # The timeline's memory bound: spans past CAPACITY are counted
+        # as dropped, never stored.
+        monkeypatch.setattr(TimelineBuilder, "CAPACITY", 3)
+        m = make_machine([[simple_txn([i], [i]) for i in range(10)]])
+        tel = Telemetry().attach(m)
+        m.run()
+        assert len(tel.timeline) == 3
+        assert tel.timeline.dropped > 0
+        assert tel.timeline.summary()["dropped"] == tel.timeline.dropped
+        tel.detach()
 
     def test_attach_same_machine_idempotent(self):
         m = make_machine([[simple_txn([1], [2])]])
-        tracer = Tracer()
-        tracer.attach(m)
-        tracer.attach(m)  # no-op, no double-wrapping
+        events = []
+        hub = TelemetryHub.of(m)
+        hub.subscribe(events.append)
+        hub.subscribe(events.append)  # no-op, no double delivery
+        tel = Telemetry().attach(m)
+        tel.attach(m)  # no-op, no double-wrapping
+        assert hub.subscriber_count == 2
         m.run()
-        # Each lifecycle event recorded exactly once.
-        assert tracer.counts()[TraceEvent.TX_COMMIT] == 1
+        # Each lifecycle event delivered exactly once per subscriber.
+        assert counts(events)[TraceEvent.TX_COMMIT] == 1
+        assert tel.registry.value("events.tx_commit") == 1
 
     def test_attach_other_machine_rejected(self):
         m1 = make_machine([[]])
         m2 = make_machine([[]])
-        tracer = Tracer()
-        tracer.attach(m1)
+        tel = Telemetry().attach(m1)
         with pytest.raises(RuntimeError):
-            tracer.attach(m2)
+            tel.attach(m2)
 
     def test_detach_restores_callbacks(self):
-        from repro.telemetry.events import TelemetryHub
-
         m = make_machine([[simple_txn([1], [2])]])
         originals = (
             m.memsys.access,
@@ -157,12 +158,11 @@ class TestRecorder:
             m.cpus[0]._xbegin,
             m.cpus[0]._commit_done,
         )
-        tracer = Tracer()
-        tracer.attach(m)
         hub = TelemetryHub.of(m)
+        events = subscribed(m)
         assert hub.wired
         assert m.memsys.access is not originals[0]
-        tracer.detach()
+        hub.unsubscribe(events.append)
         assert not hub.wired
         assert (
             m.memsys.access,
@@ -171,77 +171,41 @@ class TestRecorder:
             m.cpus[0]._xbegin,
             m.cpus[0]._commit_done,
         ) == originals
-        # Detached tracer records nothing; the machine still runs.
+        # An unsubscribed list records nothing; the machine still runs.
         m.run()
-        assert len(tracer) == 0
-        tracer.detach()  # idempotent when not attached
+        assert events == []
+        hub.unsubscribe(events.append)  # idempotent when not subscribed
 
     def test_attach_run_detach_reattach(self):
         m = make_machine([[simple_txn([1], [2]), simple_txn([3], [4])]])
-        first = Tracer()
-        first.attach(m)
+        first = Telemetry().attach(m)
         first.detach()
-        second = Tracer()
-        second.attach(m)
+        second = Telemetry().attach(m)
         m.run()
-        assert second.counts()[TraceEvent.TX_COMMIT] == 2
-        assert len(first) == 0
+        assert second.registry.value("events.tx_commit") == 2
+        assert len(first.registry) == 0
+        assert len(first.timeline) == 0
 
     def test_two_tracers_share_one_set_of_wraps(self):
         m = make_machine([[simple_txn([1], [2])]])
-        a, b = Tracer(), Tracer()
-        a.attach(m)
+        a = subscribed(m)
         access_wrapped = m.memsys.access
-        b.attach(m)
+        b = subscribed(m)
         # Second subscriber must not re-wrap the callbacks.
         assert m.memsys.access is access_wrapped
         m.run()
-        assert a.counts() == b.counts()
+        assert a and a == b
 
 
 class TestQueries:
-    def _tracer(self):
-        progs = [
-            [Plain([compute(2 + t)]), simple_txn([0], [0])] for t in range(3)
-        ]
-        return traced_run(progs, system="LockillerTM-RWI")[1]
-
-    def test_events_for_core(self):
-        tracer = self._tracer()
-        for r in tracer.events_for_core(1):
-            assert r.core == 1
-
-    def test_between_window(self):
-        tracer = self._tracer()
-        all_times = [r.time for r in tracer.records]
-        mid = sorted(all_times)[len(all_times) // 2]
-        window = tracer.between(0, mid)
-        assert all(r.time <= mid for r in window)
-        assert window  # nonempty
-
-    def test_render_contains_core_and_event(self):
-        tracer = self._tracer()
-        text = tracer.render_tail(5)
-        assert "core" in text and "tx_commit" in text
-
     def test_contention_profile(self):
-        def prog(t):
-            return [
-                Plain([compute(3 + t)]),
-                *[
-                    Txn([load(line_addr(7)), store(line_addr(7), 1)])
-                    for _ in range(5)
-                ],
-            ]
-
-        _, tracer = traced_run(
-            [prog(t) for t in range(4)], system="LockillerTM-RWI"
+        # REJECT events carry the contended line, so a per-line counter
+        # over them finds the one hot line.
+        _, events = traced_run(
+            contended_programs(7, txns=5), system="LockillerTM-RWI"
         )
-        profile = tracer.contention_profile()
-        assert profile.total > 0
-        hottest_line, hits = profile.hottest(1)[0]
-        assert hottest_line == 7
-        assert hits == profile.total  # only one contended line
+        lines = {ev.line for ev in of_kind(events, TraceEvent.REJECT)}
+        assert lines == {7}
 
     def test_tracing_does_not_change_results(self):
         progs = lambda: [
@@ -250,7 +214,7 @@ class TestQueries:
         plain = make_machine(progs(), system="LockillerTM")
         cycles_plain = plain.run()
         traced = make_machine(progs(), system="LockillerTM")
-        Tracer().attach(traced)
+        Telemetry().attach(traced)
         cycles_traced = traced.run()
         assert cycles_plain == cycles_traced
         assert plain.memsys.memory == traced.memsys.memory
