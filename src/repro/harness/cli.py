@@ -2,23 +2,23 @@
 
 Usage::
 
-    python -m repro.harness.cli table1
-    python -m repro.harness.cli table2
-    python -m repro.harness.cli fig1  [--scale 0.25] [--threads 2,8,32]
+    python -m repro table1
+    python -m repro table2
+    python -m repro fig1  [--scale 0.25] [--threads 2,8,32]
         [--jobs 4] [--run-cache [DIR]]
-    python -m repro.harness.cli fig7  [--systems Baseline,LockillerTM]
-    python -m repro.harness.cli fig8 | fig9 | fig10 | fig11 | fig12 | fig13
-    python -m repro.harness.cli sweep --workloads kmeans+ --systems \
+    python -m repro fig7  [--systems Baseline,LockillerTM]
+    python -m repro fig8 | fig9 | fig10 | fig11 | fig12 | fig13
+    python -m repro sweep --workloads kmeans+ --systems \
         CGL,LockillerTM [--threads 2,4] [--seeds 1,2] [--jobs 2] \
         [--cache-dir DIR]
-    python -m repro.harness.cli run --workload intruder --system LockillerTM \
+    python -m repro run --workload intruder --system LockillerTM \
         --threads 8 [--scale 0.25] [--seed 42] [--cache small|typical|large]
-    python -m repro.harness.cli metrics --workload intruder \
+    python -m repro metrics --workload intruder \
         --system lockiller --cores 4 [--prefix core.0] [--json] [--out F]
-    python -m repro.harness.cli timeline --workload intruder \
+    python -m repro timeline --workload intruder \
         --system lockiller --cores 4 [--out trace.json]
-    python -m repro.harness.cli fuzz  [--cases 25] [--seed 0] [--paranoid]
-    python -m repro.harness.cli chaos [--cases 25] [--plans jitter,lossy]
+    python -m repro fuzz  [--cases 25] [--seed 0] [--paranoid]
+    python -m repro chaos [--cases 25] [--plans jitter,lossy]
         [--systems ...] [--list-plans]
 
 ``run`` executes a single configuration and prints the full statistics
@@ -84,7 +84,7 @@ FIGURES = {
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro.harness.cli",
+        prog="python -m repro",
         description="LockillerTM reproduction experiment harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -486,6 +486,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(printer(ctx))
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

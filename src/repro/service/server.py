@@ -62,6 +62,9 @@ TENANT_HEADER = "x-repro-tenant"
 MAX_LINE_BYTES = 1 << 16
 MAX_HEADERS = 100
 MAX_BODY_BYTES = 1 << 20
+#: Seconds a client has to send its whole request (line, headers and
+#: body); past it the request answers 408.  Responses are not bounded.
+READ_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -479,7 +482,14 @@ class ReproService:
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await asyncio.wait_for(
+                    self._read_request(reader), READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                raise _Refused(
+                    408, f"request not received within {READ_TIMEOUT_S} s"
+                )
             if request is None:
                 return
             method, path, headers, body = request
@@ -531,7 +541,12 @@ class ReproService:
             raise _Refused(
                 413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
             )
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise _Refused(
+                400, f"body ended after {len(exc.partial)} of {length} bytes"
+            )
         return method.upper(), target, headers, body
 
     async def _route(self, method: str, target: str,
@@ -663,7 +678,8 @@ def _write_response(writer: asyncio.StreamWriter, status: int,
                     extra_headers: Optional[Dict[str, str]] = None
                     ) -> None:
     reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-               404: "Not Found", 413: "Content Too Large",
+               404: "Not Found", 408: "Request Timeout",
+               413: "Content Too Large",
                414: "URI Too Long", 429: "Too Many Requests",
                431: "Request Header Fields Too Large",
                500: "Internal Server Error", 503: "Service Unavailable"}

@@ -7,7 +7,7 @@ tiny caches to force overflows and paranoid SWMR checking — and verifies
 the functional expectation on every run.  Any counterexample is reported
 with its exact (seed, case) coordinates for replay.
 
-Used by ``python -m repro.harness.cli fuzz`` and the stress test in
+Used by ``python -m repro fuzz`` and the stress test in
 ``tests/test_fuzz.py``.
 """
 

@@ -30,7 +30,8 @@ class TraceEvent(str, Enum):
     REJECT = "reject"
     WAKEUP = "wakeup"
     FALLBACK = "fallback"
-    SWITCH_ATTEMPT = "switch_attempt"
+    #: One STL application's outcome: denied by the arbiter, or granted.
+    SWITCH_DENIED = "switch_denied"
     SWITCH_OK = "switch_ok"
     OVERFLOW = "overflow"
     SPILL = "spill"
@@ -251,7 +252,7 @@ class TelemetryHub:
                     now,
                     TraceEvent.SWITCH_OK
                     if granted
-                    else TraceEvent.SWITCH_ATTEMPT,
+                    else TraceEvent.SWITCH_DENIED,
                     core,
                     arg="granted" if granted else "denied",
                 )

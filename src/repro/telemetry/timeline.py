@@ -203,7 +203,7 @@ class TimelineBuilder:
                     span.switched = True
                     span.mode = "htm->stl"
                     self._mark(span, ev.time, "switched to STL")
-            elif kind is TraceEvent.SWITCH_ATTEMPT:
+            elif kind is TraceEvent.SWITCH_DENIED:
                 if span is not None:
                     self._mark(span, ev.time, "STL application denied")
         if kind in _SAMPLE_KINDS:

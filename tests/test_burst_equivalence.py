@@ -103,21 +103,3 @@ def test_equivalence_cells_actually_abort():
     )
     assert total_aborts > 0
 
-
-def test_profile_run_smoke():
-    """The profiling harness runs a cell and attributes its events."""
-    from repro.harness.profiling import profile_run
-
-    report = profile_run(
-        "kmeans+", system="CGL", threads=2, scale=0.05, seed=2, top_n=5
-    )
-    assert report.execution_cycles > 0
-    assert report.events_processed > 0
-    assert "sim" in report.subsystems
-    counters = report.subsystems["sim"]
-    assert counters["events_processed"] == report.events_processed
-    assert set(counters) == {"events_processed", "heap_compactions"}
-    assert 0 <= counters["heap_compactions"] <= report.events_processed
-    rendered = report.render()
-    assert "hottest functions" in rendered
-    assert "ncalls" in rendered

@@ -26,6 +26,7 @@ from repro.service import (
     ServiceError,
     ShardedStore,
 )
+from repro.service import server as server_module
 from repro.service.server import (
     MAX_BODY_BYTES,
     MAX_HEADERS,
@@ -223,18 +224,22 @@ class TestServiceHTTP:
         assert err.value.status == 400
 
 
-def raw_request(handle, data: bytes) -> bytes:
+def raw_request(handle, data: bytes, half_close: bool = False) -> bytes:
     """Send raw bytes to the service and read the reply until EOF.
 
-    A server that refuses a request before reading all of it closes
-    with unread bytes pending, which the kernel may turn into a reset
-    after the reply; the reply read so far is returned then.
+    ``half_close`` shuts down the sending side after ``data``, so the
+    server sees the request end there.  A server that refuses a request
+    before reading all of it closes with unread bytes pending, which
+    the kernel may turn into a reset after the reply; the reply read so
+    far is returned then.
     """
     address = (handle.host, handle.port)
     with socket.create_connection(address, timeout=30) as sock:
         chunks = []
         try:
             sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
             while True:
                 chunk = sock.recv(65536)
                 if not chunk:
@@ -250,8 +255,8 @@ class TestMalformedRequests:
     never 500, and the service keeps answering."""
 
     @staticmethod
-    def assert_refused(service, data, status):
-        reply = raw_request(service, data)
+    def assert_refused(service, data, status, half_close=False):
+        reply = raw_request(service, data, half_close)
         assert reply.startswith(b"HTTP/1.1 %d " % status), reply[:80]
         body = json.loads(reply.partition(b"\r\n\r\n")[2])
         assert "error" in body
@@ -289,6 +294,20 @@ class TestMalformedRequests:
     )
     def test_oversized_refused(self, service, data, status):
         self.assert_refused(service, data, status)
+
+    def test_truncated_body_answers_400(self, service):
+        data = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}..."
+        self.assert_refused(service, data, 400, half_close=True)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"],
+        ids=["silent", "stalled-body"],
+    )
+    def test_request_not_sent_in_time_answers_408(self, service,
+                                                  monkeypatch, data):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        self.assert_refused(service, data, 408)
 
     def test_caps_admit_requests_at_the_limit(self, service):
         data = (b"GET /v1/healthz HTTP/1.1\r\n"

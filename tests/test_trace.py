@@ -5,9 +5,12 @@ how subscribe / unsubscribe install and restore those wraps."""
 import pytest
 
 from repro.common.params import CacheParams, SystemParams
+from repro.harness.systems import get_system
 from repro.htm.isa import Plain, Txn, compute, fault, load, store
+from repro.sim.runner import RunConfig, run_workload
 from repro.telemetry import Telemetry, TelemetryHub, TimelineBuilder
 from repro.telemetry.events import TraceEvent
+from repro.workloads.registry import get_workload
 from conftest import line_addr, make_machine, simple_txn
 
 
@@ -99,8 +102,23 @@ class TestRecorder:
         cpu = m.cpus[0]
         cpu._stl_result(5, False, cpu.tx.attempt_seq)
         last = events[-1]
-        assert last.kind is TraceEvent.SWITCH_ATTEMPT
+        assert last.kind is TraceEvent.SWITCH_DENIED
         assert (last.arg, last.time, last.core) == ("denied", 5, 0)
+
+    def test_switch_events_split_stl_applications(self):
+        # labyrinth at 4 threads: 14 STL applications, 3 granted.
+        tel = Telemetry()
+        stats = run_workload(
+            get_workload("labyrinth"),
+            RunConfig(spec=get_system("LockillerTM"), threads=4, scale=0.1,
+                      seed=1, telemetry=tel),
+        )
+        attempts = sum(cs.switch_attempts for cs in stats.cores)
+        successes = sum(cs.switch_successes for cs in stats.cores)
+        assert 0 < successes < attempts
+        assert tel.registry.value("events.switch_denied") == (
+            attempts - successes)
+        assert tel.registry.value("events.switch_ok") == successes
 
     def test_fallback_entry_and_lock_begin_recorded(self):
         prog = [[Txn([fault(persistent=True), store(line_addr(1), 1)])]]
