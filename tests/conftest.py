@@ -10,10 +10,12 @@ from repro.common.params import (
     small_cache_params,
     typical_params,
 )
+from repro.common.stats import RunStats
 from repro.core.policies import PriorityKind, RequesterPolicy, SystemSpec
 from repro.harness.systems import get_system
 from repro.htm.isa import Plain, Txn, compute, load, store
 from repro.sim.machine import Machine
+from repro.workloads.registry import get_workload
 
 
 @pytest.fixture
@@ -73,3 +75,34 @@ def simple_txn(lines_read, lines_written, tag="t") -> Txn:
 
 def plain_compute(cycles: int = 10) -> Plain:
     return Plain([compute(cycles)])
+
+
+def run_cell(cell: str, fault_plan=None):
+    """Run one ``workload/system/threads/scale/seed`` cell on a fresh
+    machine; return ``(RunStats, machine)``."""
+    wl, system, threads, scale, seed = cell.split("/")
+    build = get_workload(wl).build(int(threads), float(scale), int(seed))
+    machine = Machine(
+        typical_params(), get_system(system), build.programs,
+        seed=int(seed), fault_plan=fault_plan,
+    )
+    stats = RunStats(execution_cycles=machine.run(), cores=machine.core_stats)
+    assert not build.verify(machine.memsys.memory)
+    assert not machine.memsys.check_quiescent()
+    return stats, machine
+
+
+def mechanism_counters(stats, machine):
+    merged = stats.merged()
+    return {
+        "nacks": merged.rejects_received,
+        "wakeups": merged.wakeups_sent,
+        "fallback_entries": merged.fallback_entries,
+        "signature_spills": machine.memsys.signature_spills,
+        "signature_rejects": machine.memsys.signature_rejects,
+        "stl_grants": machine.hl_arbiter.stl_grants,
+        "grants": machine.manager.grants,
+        "rejects": machine.manager.rejects,
+        "events": machine.engine.events_processed,
+    }
+

@@ -100,3 +100,24 @@ class TestReplay:
         assert sum(cs.commits for cs in m.core_stats) == n_txns
         got = {a: v for a, v in m.memsys.memory.items() if v != 0}
         assert got == expected_final_memory(progs)
+
+    def test_signature_storm_replay_is_pinned(self):
+        # A 32-thread LockillerTM cell with live overflow signatures under
+        # the Bloom false-positive storm: the spurious hits come from
+        # BloomSignature.chaos_fp, so the pin holds only while the
+        # access path tests the signatures in the same order and the
+        # same number of times.
+        from conftest import run_cell
+        from repro.resilience import signature_storm
+
+        stats, m = run_cell(
+            "labyrinth/LockillerTM/32/0.05/1", fault_plan=signature_storm()
+        )
+        assert (
+            stats.execution_cycles,
+            fingerprint(stats),
+            m.memsys.signature_spills,
+            m.memsys.signature_rejects,
+            m.engine.events_processed,
+            m.injector.summary()["sig_false_positives"],
+        ) == (921853, "7c2f61c9e22e7690", 266, 91, 16907, 93)
