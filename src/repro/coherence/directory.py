@@ -39,27 +39,29 @@ class DirEntry:
 class Directory:
     """Full-map directory over all lines ever touched."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("entries",)
 
     def __init__(self) -> None:
-        self._entries: Dict[int, DirEntry] = {}
+        #: line -> entry.  The memory system's miss path reads and fills
+        #: this map directly instead of calling :meth:`entry`.
+        self.entries: Dict[int, DirEntry] = {}
 
     def reset(self) -> None:
         """Forget every line (machine-pool reuse)."""
-        self._entries.clear()
+        self.entries.clear()
 
     def entry(self, line: int) -> DirEntry:
-        e = self._entries.get(line)
+        e = self.entries.get(line)
         if e is None:
             e = DirEntry()
-            self._entries[line] = e
+            self.entries[line] = e
         return e
 
     def peek(self, line: int) -> Optional[DirEntry]:
-        return self._entries.get(line)
+        return self.entries.get(line)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     # -- ownership transitions ------------------------------------------
 
@@ -86,7 +88,7 @@ class Directory:
         e.owner = -1
 
     def remove_copy(self, line: int, core: int) -> None:
-        e = self._entries.get(line)
+        e = self.entries.get(line)
         if e is None:
             return
         if e.owner == core:
@@ -94,7 +96,7 @@ class Directory:
         e.sharers.discard(core)
 
     def copies(self, line: int) -> Set[int]:
-        e = self._entries.get(line)
+        e = self.entries.get(line)
         return e.copies() if e is not None else set()
 
     def other_copies(self, line: int, core: int) -> Set[int]:
@@ -106,7 +108,7 @@ class Directory:
         The access fast path only needs *whether* another core holds the
         line, not the set itself.
         """
-        e = self._entries.get(line)
+        e = self.entries.get(line)
         if e is None:
             return False
         owner = e.owner
@@ -118,7 +120,7 @@ class Directory:
         return core not in sharers or len(sharers) > 1
 
     def owner_of(self, line: int) -> int:
-        e = self._entries.get(line)
+        e = self.entries.get(line)
         return e.owner if e is not None else -1
 
     # -- validation ------------------------------------------------------
@@ -129,7 +131,7 @@ class Directory:
         * at most one core in E/M per line, and then no sharers;
         * every L1 copy is recorded at the directory and vice versa.
         """
-        for line, e in self._entries.items():
+        for line, e in self.entries.items():
             if e.owner >= 0 and e.sharers - {e.owner}:
                 raise ProtocolInvariantError(
                     f"line {line:#x}: owner {e.owner} plus sharers "
@@ -137,7 +139,7 @@ class Directory:
                 )
         per_line_owners: Dict[int, List[int]] = {}
         E, M = MESI.E, MESI.M
-        entries = self._entries
+        entries = self.entries
         for core, arr in enumerate(l1_arrays):
             for line, st in arr.resident_states():
                 recorded = entries.get(line)
@@ -166,4 +168,4 @@ class Directory:
                 )
 
     def lines(self) -> Iterable[int]:
-        return self._entries.keys()
+        return self.entries.keys()

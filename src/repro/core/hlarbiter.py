@@ -32,10 +32,13 @@ class HLArbiter:
         "arbiter_tile",
         "owner",
         "owner_is_stl",
+        "_owner_since",
         "_tl_queue",
         "stl_grants",
         "stl_denials",
         "tl_grants",
+        "tl_held_cycles",
+        "stl_held_cycles",
     )
 
     def __init__(
@@ -51,19 +54,29 @@ class HLArbiter:
         self.arbiter_tile = arbiter_tile
         self.owner: Optional[int] = None
         self.owner_is_stl = False
+        #: Cycle at which the current owner took the slot.
+        self._owner_since = 0
         self._tl_queue: Deque[Tuple[int, Callable[[int], None]]] = deque()
         self.stl_grants = 0
         self.stl_denials = 0
         self.tl_grants = 0
+        #: Cycles the slot was held by a TL / an STL owner, from the
+        #: grant decision to ``release`` (a live owner's share is added
+        #: at publish time).
+        self.tl_held_cycles = 0
+        self.stl_held_cycles = 0
 
     def reset(self) -> None:
         """Release ownership, drop the queue, zero counters (pool reuse)."""
         self.owner = None
         self.owner_is_stl = False
+        self._owner_since = 0
         self._tl_queue.clear()
         self.stl_grants = 0
         self.stl_denials = 0
         self.tl_grants = 0
+        self.tl_held_cycles = 0
+        self.stl_held_cycles = 0
 
     @property
     def busy(self) -> bool:
@@ -85,8 +98,7 @@ class HLArbiter:
         """
         latency = self._latency_for(core)
         if self.owner is None:
-            self.owner = core
-            self.owner_is_stl = True
+            self._take(core, stl=True)
             self.stl_grants += 1
             self._engine.schedule_after(latency, lambda t: on_result(t, True))
         else:
@@ -97,12 +109,28 @@ class HLArbiter:
         """Typical HTMLock entry (fallback-lock holder executing hlbegin)."""
         latency = self._latency_for(core)
         if self.owner is None:
-            self.owner = core
-            self.owner_is_stl = False
+            self._take(core, stl=False)
             self.tl_grants += 1
             self._engine.schedule_after(latency, on_granted)
         else:
             self._tl_queue.append((core, on_granted))
+
+    def _take(self, core: int, stl: bool) -> None:
+        self.owner = core
+        self.owner_is_stl = stl
+        self._owner_since = self._engine.now
+
+    def held_cycles(self) -> Tuple[int, int]:
+        """(TL-held, STL-held) slot cycles so far, the live owner's
+        current tenure included."""
+        tl, stl = self.tl_held_cycles, self.stl_held_cycles
+        if self.owner is not None:
+            live = self._engine.now - self._owner_since
+            if self.owner_is_stl:
+                stl += live
+            else:
+                tl += live
+        return tl, stl
 
     def publish_telemetry(self, registry) -> None:
         """Publish arbiter counters under ``lock_tx.arbiter.*``."""
@@ -110,6 +138,9 @@ class HLArbiter:
         scope.set("stl_grants", self.stl_grants)
         scope.set("stl_denials", self.stl_denials)
         scope.set("tl_grants", self.tl_grants)
+        tl_held, stl_held = self.held_cycles()
+        scope.set("tl_held_cycles", tl_held)
+        scope.set("stl_held_cycles", stl_held)
         scope.set("tl_queue_depth", len(self._tl_queue))
         scope.set("busy", self.busy)
         scope.set("owner", self.owner if self.owner is not None else -1)
@@ -120,11 +151,15 @@ class HLArbiter:
             raise SimulationError(
                 f"core {core} releasing HTMLock mode owned by {self.owner}"
             )
+        held = self._engine.now - self._owner_since
+        if self.owner_is_stl:
+            self.stl_held_cycles += held
+        else:
+            self.tl_held_cycles += held
         self.owner = None
         self.owner_is_stl = False
         if self._tl_queue:
             nxt, cb = self._tl_queue.popleft()
-            self.owner = nxt
-            self.owner_is_stl = False
+            self._take(nxt, stl=False)
             self.tl_grants += 1
             self._engine.schedule_after(self._latency_for(nxt), cb)

@@ -26,11 +26,16 @@ def _mix64(x: int) -> int:
 class BloomSignature:
     """Fixed-size Bloom filter over cache-line addresses.
 
-    The bit array is a single Python int (cheap set/test via shifts);
-    ``k`` index functions come from double hashing of a 64-bit mix.
+    The bit array is a ``bytearray`` with one byte per bit plus a count
+    of the set bits, so a membership test is ``k`` byte probes and
+    ``popcount``/``empty`` are attribute reads.  The ``k`` indices come
+    from double hashing of a 64-bit mix.
     """
 
-    __slots__ = ("bits", "hashes", "_field", "inserted", "_seed", "chaos_fp")
+    __slots__ = (
+        "bits", "hashes", "_array", "_set", "_mask", "_salt", "inserted",
+        "chaos_fp",
+    )
 
     def __init__(self, bits: int = 2048, hashes: int = 4, seed: int = 0) -> None:
         if bits <= 0 or bits & (bits - 1):
@@ -39,50 +44,59 @@ class BloomSignature:
             raise ConfigError("need at least one hash function")
         self.bits = bits
         self.hashes = hashes
-        self._field = 0
+        self._array = bytearray(bits)
+        #: Number of set bits (one byte per bit in ``_array``).
+        self._set = 0
+        self._mask = bits - 1
+        self._salt = seed * 0x9E3779B97F4A7C15
         self.inserted = 0
-        self._seed = seed
         #: Fault-injection hook: () -> bool, True forces a spurious
         #: membership hit.  Safe by construction — Bloom signatures are
         #: conservative, so extra false positives only cost retries.
         self.chaos_fp: Optional[Callable[[], bool]] = None
 
-    def _indices(self, line: int):
-        h = _mix64(line ^ (self._seed * 0x9E3779B97F4A7C15))
+    def insert(self, line: int) -> None:
+        h = _mix64(line ^ self._salt)
         h1 = h & 0xFFFFFFFF
         h2 = (h >> 32) | 1  # odd => full-period double hashing
-        mask = self.bits - 1
+        mask = self._mask
+        array = self._array
         for i in range(self.hashes):
-            yield (h1 + i * h2) & mask
-
-    def insert(self, line: int) -> None:
-        for idx in self._indices(line):
-            self._field |= 1 << idx
+            idx = (h1 + i * h2) & mask
+            if not array[idx]:
+                array[idx] = 1
+                self._set += 1
         self.inserted += 1
 
     def test(self, line: int) -> bool:
-        for idx in self._indices(line):
-            if not (self._field >> idx) & 1:
-                return (
-                    self.chaos_fp is not None
-                    and not self.empty
-                    and self.chaos_fp()
-                )
+        if not self._set:
+            return False  # an empty signature never reports a hit
+        h = _mix64(line ^ self._salt)
+        h1 = h & 0xFFFFFFFF
+        h2 = (h >> 32) | 1
+        mask = self._mask
+        array = self._array
+        for i in range(self.hashes):
+            if not array[(h1 + i * h2) & mask]:
+                chaos_fp = self.chaos_fp
+                return chaos_fp is not None and chaos_fp()
         return True
 
     def clear(self) -> None:
-        self._field = 0
+        if self._set:
+            self._array = bytearray(self.bits)
+            self._set = 0
         self.inserted = 0
 
     @property
     def empty(self) -> bool:
-        return self._field == 0
+        return not self._set
 
     @property
     def popcount(self) -> int:
-        return bin(self._field).count("1")
+        return self._set
 
     def false_positive_rate(self) -> float:
         """Current theoretical FP probability given the fill level."""
-        fill = self.popcount / self.bits
+        fill = self._set / self.bits
         return fill**self.hashes

@@ -43,9 +43,11 @@ from repro.harness.export import (
 )
 
 #: Bump to invalidate every cached result (e.g. after a simulator change
-#: that intentionally alters timing).  The export schema version is also
-#: folded into the key, so result-format changes invalidate too.
-CACHE_SCHEMA_VERSION = 2
+#: that intentionally alters timing or any cached counter).  The export
+#: schema version is also folded into the key, so result-format changes
+#: invalidate too.  3: a signature spill no longer counts its access's
+#: L1 miss twice (``l1_misses`` changed; fingerprints did not).
+CACHE_SCHEMA_VERSION = 3
 
 
 def default_cache_dir() -> str:

@@ -26,7 +26,7 @@ from typing import List, Optional, Set, Tuple
 from repro.common.errors import SimulationError
 from repro.common.rng import SplitMix64, derive_seed
 from repro.common.stats import AbortReason, CoreStats, TimeCat
-from repro.coherence.memsys import GRANT, OVERFLOW, REJECT, AccessResult
+from repro.coherence.memsys import REJECT, AccessResult
 from repro.core.policies import RequesterPolicy
 from repro.htm.isa import (
     OP_COMPUTE,
@@ -178,11 +178,11 @@ class CPU:
         else:
             is_write = kind == OP_STORE
             res = self.memsys.access(self.core, op[1], is_write, now)
-            if res.status == GRANT:
+            if type(res) is int:  # granted: res is the latency
                 self._apply_functional(op, is_write)
                 self.op_idx += 1
                 self.engine.schedule_after(
-                    res.latency, lambda t: self._plain_step(t, span_t0)
+                    res, lambda t: self._plain_step(t, span_t0)
                 )
             elif res.status == REJECT:
                 # Plain access bounced off an HTMLock-mode transaction:
@@ -252,10 +252,10 @@ class CPU:
             return
         is_write = kind == OP_STORE
         res = self.memsys.access(self.core, op[1], is_write, now)
-        if res.status == GRANT:
+        if type(res) is int:  # granted: res is the latency
             self._apply_functional(op, is_write)
             self.op_idx += 1
-            self._plain_advance(now, res.latency, span_t0)
+            self._plain_advance(now, res, span_t0)
         elif res.status == REJECT:
             delay = res.latency + self.htm_params.plain_retry_delay
             self.engine.schedule_after_nocancel(
@@ -327,13 +327,13 @@ class CPU:
             )
         else:
             is_write = kind == OP_STORE
-            res = self.memsys.access(self.core, op[1], is_write, now)
-            if res.status != GRANT:  # pragma: no cover - no HTM holders
+            lat = self.memsys.access(self.core, op[1], is_write, now)
+            if type(lat) is not int:  # pragma: no cover - no HTM holders
                 raise SimulationError("CGL access was not granted")
             self._apply_functional(op, is_write)
             self.op_idx += 1
             self.engine.schedule_after(
-                res.latency, lambda t: self._cgl_step(t, crit_t0)
+                lat, lambda t: self._cgl_step(t, crit_t0)
             )
 
     def _cgl_advance(self, now: int, lat: int, crit_t0: int) -> None:
@@ -371,12 +371,12 @@ class CPU:
             self._cgl_advance(now, self.htm_params.trap_latency, crit_t0)
             return
         is_write = kind == OP_STORE
-        res = self.memsys.access(self.core, op[1], is_write, now)
-        if res.status != GRANT:  # pragma: no cover - no HTM holders
+        lat = self.memsys.access(self.core, op[1], is_write, now)
+        if type(lat) is not int:  # pragma: no cover - no HTM holders
             raise SimulationError("CGL access was not granted")
         self._apply_functional(op, is_write)
         self.op_idx += 1
-        self._cgl_advance(now, res.latency, crit_t0)
+        self._cgl_advance(now, lat, crit_t0)
 
     # -- HTM attempt (Listing 1 loop) -------------------------------------
 
@@ -431,11 +431,11 @@ class CPU:
         else:
             is_write = kind == OP_STORE
             res = self.memsys.access(self.core, op[1], is_write, now)
-            if res.status == GRANT:
+            if type(res) is int:  # granted: res is the latency
                 self._apply_functional(op, is_write)
                 self.op_idx += 1
                 tx.insts_in_attempt += 1
-                self.engine.schedule_after(res.latency, self._tx_step)
+                self.engine.schedule_after(res, self._tx_step)
             elif res.status == REJECT:
                 self._on_reject(now, res)
             else:
@@ -502,11 +502,11 @@ class CPU:
             return
         is_write = kind == OP_STORE
         res = self.memsys.access(self.core, op[1], is_write, now)
-        if res.status == GRANT:
+        if type(res) is int:  # granted: res is the latency
             self._apply_functional(op, is_write)
             self.op_idx += 1
             tx.insts_in_attempt += 1
-            self._advance_burst(now, res.latency)
+            self._advance_burst(now, res)
         elif res.status == REJECT:
             self._on_reject(now, res)
         else:

@@ -160,6 +160,8 @@ class TelemetryHub:
 
             def wrapped(core, addr, is_write, now):
                 res = inner(core, addr, is_write, now)
+                if type(res) is int:  # granted
+                    return res
                 status = res.status
                 if status == REJECT:
                     emit(

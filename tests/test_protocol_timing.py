@@ -8,7 +8,6 @@ so timing regressions are caught, not just functional ones.
 import pytest
 
 from repro.common.stats import AbortReason
-from repro.coherence.memsys import GRANT
 from repro.coherence.states import MESI
 from repro.htm.txstate import TxMode
 from conftest import idle_machine, line_addr
@@ -21,9 +20,9 @@ class TestLatencyComposition:
         miss = ms.access(0, line_addr(100), False, 0)
         hit = ms.access(0, line_addr(100), False, 10_000)
         p = m.params
-        assert hit.latency == p.l1.hit_latency
+        assert hit == p.l1.hit_latency
         # Miss must include at least LLC + memory + some network.
-        assert miss.latency >= p.llc.hit_latency + p.memory.latency
+        assert miss >= p.llc.hit_latency + p.memory.latency
 
     def test_nack_path_costs_more_than_plain_fill(self):
         """Fig. 3: the aborting owner adds a forward+NACK round trip."""
@@ -42,9 +41,9 @@ class TestLatencyComposition:
         tx0.begin(TxMode.HTM, 0)
         ms.access(0, line_addr(5), True, 10_000)
         nacked = ms.access(2, line_addr(5), False, 20_000)
-        assert nacked.status == GRANT
+        assert type(nacked) is int  # granted
         assert tx0.aborted
-        assert nacked.latency > quiet.latency
+        assert nacked > quiet
 
     def test_dirty_forward_prices_owner_hops(self):
         m = idle_machine()
@@ -57,7 +56,7 @@ class TestLatencyComposition:
         # straight from the LLC (no forward) — it must be cheaper from
         # the same distance.
         direct = ms.access(3, line_addr(5), False, 50_000)
-        assert fwd.latency > direct.latency
+        assert fwd > direct
 
     def test_busy_window_queues_second_requester(self):
         m = idle_machine()
@@ -68,7 +67,7 @@ class TestLatencyComposition:
         second = ms.access(1, line_addr(5), False, 1)
         # The second request must wait for the window: its total latency
         # covers at least until the busy horizon.
-        assert 1 + second.latency >= busy
+        assert 1 + second >= busy
 
     def test_unrelated_lines_do_not_queue(self):
         m = idle_machine()
@@ -76,7 +75,7 @@ class TestLatencyComposition:
         ms.access(0, line_addr(5), False, 0)
         a = ms.access(1, line_addr(6 + 32), False, 1)   # different line+bank
         b = ms.access(2, line_addr(6 + 32), False, 100_000)
-        assert a.latency <= b.latency + m.params.memory.latency
+        assert a <= b + m.params.memory.latency
 
 
 class TestVictimInvalidationSemantics:
@@ -103,5 +102,6 @@ class TestVictimInvalidationSemantics:
         tx0.clear()
         # Next access is a full miss again (no L1 warm-up from the
         # aborted attempt).
-        res = ms.access(0, line_addr(5), False, 1_000)
-        assert not res.hit
+        misses = ms.core_stats[0].l1_misses
+        ms.access(0, line_addr(5), False, 1_000)
+        assert ms.core_stats[0].l1_misses == misses + 1

@@ -192,6 +192,29 @@ class TestBitIdentity:
         else:
             assert off.abort_breakdown()[AbortReason.MUTEX] > 0
 
+    def test_arbiter_occupancy_shows_the_tl_lock_out(self):
+        # At 16 threads the HTMLock slot passes from one fallback-lock
+        # holder (TL) to the next, so STL applicants almost never find
+        # it free: TL owners hold it for far longer than STL owners.
+        tel = Telemetry()
+        stats = run_workload(
+            get_workload("labyrinth"),
+            RunConfig(
+                spec=get_system("LockillerTM"),
+                threads=16,
+                scale=0.1,
+                seed=1,
+                telemetry=tel,
+            ),
+        )
+        reg = tel.registry
+        tl_held = reg.value("lock_tx.arbiter.tl_held_cycles")
+        stl_held = reg.value("lock_tx.arbiter.stl_held_cycles")
+        assert reg.value("lock_tx.arbiter.stl_grants") >= 1
+        assert stl_held > 0
+        assert tl_held > 10 * stl_held
+        assert tl_held + stl_held <= stats.execution_cycles
+
     def test_fallback_lock_aborts_reach_the_timeline(self):
         # Classic fallback: taking the lock kills every subscribed
         # transaction (the `mutex` aborts).  Each must close its span.

@@ -113,6 +113,22 @@ class TestHLArbiter:
         with pytest.raises(SimulationError):
             arb.release(2)
 
+    def test_held_cycles_split_by_owner_kind(self):
+        engine, arb = self._arbiter()
+        arb.request_stl(2, lambda t, ok: None)  # decided at cycle 0
+        arb.request_tl(5, lambda t: None)       # queued behind the STL
+        engine.schedule(100, lambda t: arb.release(2))
+        engine.run()
+        assert arb.owner == 5
+        assert (arb.tl_held_cycles, arb.stl_held_cycles) == (0, 100)
+        engine.schedule(250, lambda t: None)
+        engine.run()
+        # The live TL owner's tenure counts up to now.
+        assert arb.held_cycles() == (150, 100)
+        arb.release(5)
+        assert (arb.tl_held_cycles, arb.stl_held_cycles) == (150, 100)
+        assert arb.held_cycles() == (150, 100)
+
     def test_latency_depends_on_distance(self):
         engine, arb = self._arbiter()
         times = {}
